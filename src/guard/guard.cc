@@ -1,5 +1,6 @@
 #include "guard/guard.h"
 
+#include <charconv>
 #include <chrono>
 
 #include "obs/log.h"
@@ -158,6 +159,28 @@ bool IsResourceCode(StatusCode code) {
 
 bool IsResourceStatus(const Status& status) {
   return IsResourceCode(status.code());
+}
+
+StatusOr<bool> ParseBudgetFlag(std::string_view arg, ExecutionBudget* budget) {
+  // npos + 1 == 0: an argument without '=' has an empty name.
+  std::string_view name = arg.substr(0, arg.find('=') + 1);
+  int64_t* field = name == "--deadline-ms="     ? &budget->deadline_ms
+                   : name == "--max-states="    ? &budget->max_automaton_states
+                   : name == "--max-steps="     ? &budget->max_steps
+                   : name == "--max-memory-mb=" ? &budget->max_memory_bytes
+                                                : nullptr;
+  if (field == nullptr) return false;
+  std::string_view value = arg.substr(name.size());
+  int64_t parsed = -1;
+  auto [end, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), parsed);
+  if (ec != std::errc() || end != value.data() + value.size() || parsed < 0 ||
+      parsed > (int64_t{1} << 40)) {
+    return InvalidArgumentError(std::string(name.substr(0, name.size() - 1)) +
+                                " requires an integer in [0, 2^40]");
+  }
+  *field = field == &budget->max_memory_bytes ? parsed << 20 : parsed;
+  return true;
 }
 
 }  // namespace rtp::guard

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
@@ -41,6 +42,13 @@ struct ExecutionBudget {
            max_memory_bytes > 0;
   }
 };
+
+// Parses one budget command-line flag into `budget`: --deadline-ms=N,
+// --max-states=N, --max-steps=N or --max-memory-mb=N, each an integer in
+// [0, 2^40] with 0 meaning unlimited. Returns false when `arg` is not a
+// budget flag, and INVALID_ARGUMENT naming the flag when its value is
+// malformed.
+StatusOr<bool> ParseBudgetFlag(std::string_view arg, ExecutionBudget* budget);
 
 // A cheap cancellation flag, settable from any thread. A single token is
 // typically shared by every work item of one logical request.

@@ -27,8 +27,10 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace rtp::obs {
 
@@ -42,6 +44,9 @@ enum class LogLevel : int {
 
 // "debug" / "info" / "warn" / "error" / "off".
 const char* LogLevelName(LogLevel level);
+
+// Inverse of LogLevelName; nullopt for any other spelling.
+std::optional<LogLevel> ParseLogLevel(std::string_view name);
 
 // Minimum emitted level. The initial value comes from RTP_LOG_LEVEL (off
 // when unset or unparseable).

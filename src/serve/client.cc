@@ -362,23 +362,7 @@ StatusOr<EvalResult> Client::Eval(const std::string& tenant,
   req.doc = doc;
   req.text = pattern_text;
   RTP_ASSIGN_OR_RETURN(JsonValue response, Call(std::move(req), options.fault));
-  const JsonValue* tuples = response.Find("tuples");
-  if (tuples == nullptr || !tuples->is_array()) {
-    return TransportError("eval response without 'tuples' array");
-  }
-  EvalResult result;
-  result.tuples.reserve(tuples->array_items().size());
-  for (const JsonValue& row : tuples->array_items()) {
-    if (!row.is_array()) return TransportError("malformed eval tuple row");
-    std::vector<std::string> tuple;
-    tuple.reserve(row.array_items().size());
-    for (const JsonValue& item : row.array_items()) {
-      if (!item.is_string()) return TransportError("malformed eval tuple");
-      tuple.push_back(item.string_value());
-    }
-    result.tuples.push_back(std::move(tuple));
-  }
-  return result;
+  return DecodeEvalResult(response);
 }
 
 StatusOr<CheckFdResult> Client::CheckFd(const std::string& tenant,
@@ -389,16 +373,7 @@ StatusOr<CheckFdResult> Client::CheckFd(const std::string& tenant,
   req.doc = doc;
   req.text = fd_text;
   RTP_ASSIGN_OR_RETURN(JsonValue response, Call(std::move(req), options.fault));
-  const JsonValue* satisfied = response.Find("satisfied");
-  if (satisfied == nullptr || !satisfied->is_bool()) {
-    return TransportError("checkfd response without 'satisfied'");
-  }
-  CheckFdResult result;
-  result.satisfied = satisfied->bool_value();
-  result.mappings = response.FindInt("mappings");
-  result.groups = response.FindInt("groups");
-  result.violation = response.FindString("violation");
-  return result;
+  return DecodeCheckFdResult(response);
 }
 
 StatusOr<MatrixResult> Client::Matrix(
@@ -410,26 +385,7 @@ StatusOr<MatrixResult> Client::Matrix(
   req.classes = class_texts;
   req.schema = schema_text;
   RTP_ASSIGN_OR_RETURN(JsonValue response, Call(std::move(req), options.fault));
-  const JsonValue* entries = response.Find("entries");
-  if (entries == nullptr || !entries->is_array()) {
-    return TransportError("matrix response without 'entries' array");
-  }
-  MatrixResult result;
-  result.num_fds = static_cast<size_t>(response.FindInt("num_fds"));
-  result.num_classes = static_cast<size_t>(response.FindInt("num_classes"));
-  result.independent = static_cast<size_t>(response.FindInt("independent"));
-  result.cells.reserve(entries->array_items().size());
-  for (const JsonValue& entry : entries->array_items()) {
-    if (!entry.is_object()) return TransportError("malformed matrix entry");
-    MatrixCell cell;
-    cell.fd_index = static_cast<size_t>(entry.FindInt("fd"));
-    cell.class_index = static_cast<size_t>(entry.FindInt("class"));
-    cell.independent = entry.FindBool("independent");
-    cell.product_size = entry.FindInt("product_size");
-    cell.status = StatusCodeFromName(entry.FindString("status", "OK"));
-    result.cells.push_back(cell);
-  }
-  return result;
+  return DecodeMatrixResult(response, fd_texts.size(), class_texts.size());
 }
 
 StatusOr<std::vector<TenantStats>> Client::Stats() {

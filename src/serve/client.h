@@ -2,9 +2,11 @@
 #define RTP_SERVE_CLIENT_H_
 
 // Client side of the rtpd wire protocol. This is the ONE client
-// implementation: the rtpd_client tool, the end-to-end test battery, and
+// implementation: `rtp_cli --socket=`, the end-to-end test battery, and
 // the throughput bench all speak through it, so the protocol has exactly
-// one encoder/decoder per side and the golden transcripts pin both.
+// one encoder/decoder per side and the golden transcripts pin both. The
+// result types and their decoders live in serve/ops.h, shared with the
+// server's encoders.
 //
 // A Client is a single connection with strictly sequential
 // request/response framing (the server responds in request order). It is
@@ -34,6 +36,7 @@
 #include "fuzz/rng.h"
 #include "guard/guard.h"
 #include "serve/json.h"
+#include "serve/ops.h"
 #include "serve/protocol.h"
 
 namespace rtp::serve {
@@ -75,35 +78,6 @@ struct CallOptions {
   // attempt (retries always run clean, so injection counts stay
   // deterministic). Drawn from a chaos::FaultPlan by the workload runner.
   chaos::FaultDecision fault;
-};
-
-struct EvalResult {
-  // tuples[i][j] is the XML serialization of tuple i's j-th subtree,
-  // sorted by document order — identical to rtp_cli eval output lines.
-  std::vector<std::vector<std::string>> tuples;
-};
-
-struct CheckFdResult {
-  bool satisfied = true;
-  int64_t mappings = 0;
-  int64_t groups = 0;
-  std::string violation;  // empty when satisfied
-};
-
-struct MatrixCell {
-  size_t fd_index = 0;
-  size_t class_index = 0;
-  bool independent = false;
-  int64_t product_size = 0;
-  // OK, or the resource code of a per-cell budget trip.
-  StatusCode status = StatusCode::kOk;
-};
-
-struct MatrixResult {
-  size_t num_fds = 0;
-  size_t num_classes = 0;
-  size_t independent = 0;
-  std::vector<MatrixCell> cells;
 };
 
 struct TenantStats {

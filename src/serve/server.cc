@@ -21,10 +21,9 @@
 #include "obs/profile.h"
 #include "pattern/evaluator.h"
 #include "pattern/pattern_parser.h"
-#include "schema/schema.h"
 #include "serve/framing.h"
 #include "serve/json.h"
-#include "update/update_class.h"
+#include "serve/ops.h"
 #include "xml/xml_io.h"
 
 // POLLRDHUP (peer closed its write side) is the reliable mid-request
@@ -577,8 +576,7 @@ JsonValue Server::HandleEval(Tenant& tenant, const Request& req,
   if (!parsed->ok()) return MakeErrorResponse(req.id, parsed->status());
 
   obs::QueryProfile profile;
-  JsonValue tuples_json = JsonValue::Array();
-  size_t count = 0;
+  EvalResult result;
   {
     // Shared: evaluation and serialization read the alphabet and the
     // frozen index; loads of other documents can intern concurrently
@@ -595,33 +593,10 @@ JsonValue Server::HandleEval(Tenant& tenant, const Request& req,
       if (req.profile) AttachProfile(&response, profile);
       return response;
     }
-    // Document order, then subtree serialization — the exact output
-    // contract of `rtp_cli eval`, so serve results are bit-comparable to
-    // serial library runs.
-    const xml::Document& doc = entry->index->doc();
-    std::sort(tuples.begin(), tuples.end(),
-              [&doc](const std::vector<xml::NodeId>& a,
-                     const std::vector<xml::NodeId>& b) {
-                for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-                  uint32_t pa = doc.PreorderIndex(a[i]);
-                  uint32_t pb = doc.PreorderIndex(b[i]);
-                  if (pa != pb) return pa < pb;
-                }
-                return a.size() < b.size();
-              });
-    count = tuples.size();
-    for (const auto& tuple : tuples) {
-      JsonValue row = JsonValue::Array();
-      for (xml::NodeId n : tuple) {
-        row.Push(JsonValue::String(
-            xml::WriteXmlSubtree(doc, n, /*indent=*/false)));
-      }
-      tuples_json.Push(std::move(row));
-    }
+    result = MakeEvalResult(entry->index->doc(), std::move(tuples));
   }
   JsonValue response = MakeOkResponse(req.id);
-  response.Add("count", JsonValue::Int(static_cast<int64_t>(count)));
-  response.Add("tuples", std::move(tuples_json));
+  EncodeEvalResult(std::move(result), &response);
   if (req.profile) AttachProfile(&response, profile);
   return response;
 }
@@ -645,17 +620,14 @@ JsonValue Server::HandleCheckFd(Tenant& tenant, const Request& req,
                                 "' has no document '" + req.doc + "'"));
     }
     entry = it->second;
-    auto parsed = pattern::ParsePattern(&tenant.alphabet, req.text);
-    if (!parsed.ok()) return MakeErrorResponse(req.id, parsed.status());
-    auto fd_or =
-        fd::FunctionalDependency::FromParsed(std::move(parsed).value());
+    auto fd_or = ParseFd(&tenant.alphabet, req.text);
     if (!fd_or.ok()) return MakeErrorResponse(req.id, fd_or.status());
     fd.emplace(std::move(fd_or).value());
   }
 
   obs::QueryProfile profile;
   fd::CheckResult result;
-  std::string violation_text;
+  CheckFdResult checked;
   {
     std::shared_lock<std::shared_mutex> lock(tenant.mu);
     // The ambient request guard (arrival-anchored deadline, shared cancel
@@ -667,9 +639,8 @@ JsonValue Server::HandleCheckFd(Tenant& tenant, const Request& req,
     fd::CheckOptions options;
     options.profile = req.profile ? &profile : nullptr;
     result = fd::CheckFd(*fd, *entry->index, options);
-    if (result.status.ok() && !result.satisfied) {
-      violation_text =
-          result.violation->Describe(entry->index->doc(), *fd);
+    if (result.status.ok()) {
+      checked = MakeCheckFdResult(result, entry->index->doc(), *fd);
     }
   }
   if (!result.status.ok()) {
@@ -678,14 +649,7 @@ JsonValue Server::HandleCheckFd(Tenant& tenant, const Request& req,
     return response;
   }
   JsonValue response = MakeOkResponse(req.id);
-  response.Add("satisfied", JsonValue::Bool(result.satisfied));
-  response.Add("mappings",
-               JsonValue::Int(static_cast<int64_t>(result.num_mappings)));
-  response.Add("groups",
-               JsonValue::Int(static_cast<int64_t>(result.num_groups)));
-  if (!result.satisfied) {
-    response.Add("violation", JsonValue::String(violation_text));
-  }
+  EncodeCheckFdResult(checked, &response);
   if (req.profile) AttachProfile(&response, profile);
   return response;
 }
@@ -698,39 +662,13 @@ JsonValue Server::HandleMatrix(Tenant& tenant, const Request& req,
         req.id,
         InvalidArgumentError("matrix requires 'fds' and 'classes' arrays"));
   }
-  std::vector<fd::FunctionalDependency> fds;
-  std::vector<update::UpdateClass> classes;
-  std::optional<schema::Schema> schema;
+  std::optional<StatusOr<MatrixInputs>> inputs;
   {
     std::unique_lock<std::shared_mutex> lock(tenant.mu);
-    for (const std::string& text : req.fds) {
-      auto parsed = pattern::ParsePattern(&tenant.alphabet, text);
-      if (!parsed.ok()) return MakeErrorResponse(req.id, parsed.status());
-      auto fd_or =
-          fd::FunctionalDependency::FromParsed(std::move(parsed).value());
-      if (!fd_or.ok()) return MakeErrorResponse(req.id, fd_or.status());
-      fds.push_back(std::move(fd_or).value());
-    }
-    for (const std::string& text : req.classes) {
-      auto parsed = pattern::ParsePattern(&tenant.alphabet, text);
-      if (!parsed.ok()) return MakeErrorResponse(req.id, parsed.status());
-      auto cls_or = update::UpdateClass::FromParsed(std::move(parsed).value());
-      if (!cls_or.ok()) return MakeErrorResponse(req.id, cls_or.status());
-      classes.push_back(std::move(cls_or).value());
-    }
-    if (!req.schema.empty()) {
-      auto schema_or = schema::Schema::Parse(&tenant.alphabet, req.schema);
-      if (!schema_or.ok()) return MakeErrorResponse(req.id, schema_or.status());
-      schema.emplace(std::move(schema_or).value());
-    }
+    inputs.emplace(ParseMatrixInputs(&tenant.alphabet, req.fds, req.classes,
+                                     req.schema));
   }
-
-  std::vector<const fd::FunctionalDependency*> fd_ptrs;
-  fd_ptrs.reserve(fds.size());
-  for (const auto& fd : fds) fd_ptrs.push_back(&fd);
-  std::vector<const update::UpdateClass*> class_ptrs;
-  class_ptrs.reserve(classes.size());
-  for (const auto& cls : classes) class_ptrs.push_back(&cls);
+  if (!inputs->ok()) return MakeErrorResponse(req.id, inputs->status());
 
   std::vector<obs::QueryProfile> cell_profiles;
   std::optional<StatusOr<independence::IndependenceMatrix>> matrix_or;
@@ -752,30 +690,14 @@ JsonValue Server::HandleMatrix(Tenant& tenant, const Request& req,
       options.cache = &exec::AutomatonCache::Global();
     }
     if (req.profile) options.profiles = &cell_profiles;
-    matrix_or.emplace(independence::ComputeIndependenceMatrix(
-        fd_ptrs, class_ptrs, schema ? &*schema : nullptr, &tenant.alphabet,
-        options));
+    matrix_or.emplace(inputs->value().Compute(&tenant.alphabet, options));
   }
   if (!matrix_or->ok()) return MakeErrorResponse(req.id, matrix_or->status());
-  const independence::IndependenceMatrix& matrix = matrix_or->value();
+  MatrixResult result = MakeMatrixResult(matrix_or->value());
 
-  size_t independent = 0;
   size_t tripped = 0;
-  JsonValue entries = JsonValue::Array();
-  for (const independence::MatrixEntry& entry : matrix.entries) {
-    JsonValue cell = JsonValue::Object();
-    cell.Add("fd", JsonValue::Int(static_cast<int64_t>(entry.fd_index)));
-    cell.Add("class",
-             JsonValue::Int(static_cast<int64_t>(entry.class_index)));
-    cell.Add("independent", JsonValue::Bool(entry.independent));
-    cell.Add("product_size", JsonValue::Int(entry.product_size));
-    if (!entry.status.ok()) {
-      cell.Add("status",
-               JsonValue::String(StatusCodeName(entry.status.code())));
-      ++tripped;
-    }
-    if (entry.independent) ++independent;
-    entries.Push(std::move(cell));
+  for (const MatrixCell& cell : result.cells) {
+    if (cell.status != StatusCode::kOk) ++tripped;
   }
   if (tripped > 0) {
     // Per-cell resource degradation: the response is still ok (tripped
@@ -787,13 +709,7 @@ JsonValue Server::HandleMatrix(Tenant& tenant, const Request& req,
   }
 
   JsonValue response = MakeOkResponse(req.id);
-  response.Add("num_fds",
-               JsonValue::Int(static_cast<int64_t>(matrix.num_fds)));
-  response.Add("num_classes",
-               JsonValue::Int(static_cast<int64_t>(matrix.num_classes)));
-  response.Add("independent",
-               JsonValue::Int(static_cast<int64_t>(independent)));
-  response.Add("entries", std::move(entries));
+  EncodeMatrixResult(result, &response);
   if (req.profile) {
     JsonValue profiles = JsonValue::Array();
     for (const obs::QueryProfile& p : cell_profiles) {

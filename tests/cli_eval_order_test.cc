@@ -43,9 +43,14 @@ void WriteFileOrDie(const std::string& path, const std::string& content) {
 class CliEvalOrderTest : public testing::Test {
  protected:
   void SetUp() override {
-    pattern_file_ = testing::TempDir() + "/eval_order_qp.pattern";
-    doc1_file_ = testing::TempDir() + "/eval_order_doc1.xml";
-    doc2_file_ = testing::TempDir() + "/eval_order_doc2.xml";
+    // ctest runs each test as its own concurrent process, so every test
+    // writes files of its own.
+    const std::string prefix =
+        testing::TempDir() + "/eval_order_" +
+        testing::UnitTest::GetInstance()->current_test_info()->name() + "_";
+    pattern_file_ = prefix + "qp.pattern";
+    doc1_file_ = prefix + "doc1.xml";
+    doc2_file_ = prefix + "doc2.xml";
     // q precedes p in the select clause but q's image is chosen innermost
     // by the enumerator (the y edge expands after p under x).
     WriteFileOrDie(pattern_file_,

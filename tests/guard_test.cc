@@ -45,6 +45,34 @@ TEST(GuardTest, UnlimitedBudgetNeverTrips) {
   EXPECT_TRUE(ctx.status().ok());
 }
 
+TEST(GuardTest, BudgetFlagsParseNonNegativeWithZeroUnlimited) {
+  guard::ExecutionBudget budget;
+  EXPECT_TRUE(*guard::ParseBudgetFlag("--deadline-ms=250", &budget));
+  EXPECT_TRUE(*guard::ParseBudgetFlag("--max-states=9", &budget));
+  EXPECT_TRUE(*guard::ParseBudgetFlag("--max-steps=7", &budget));
+  EXPECT_TRUE(*guard::ParseBudgetFlag("--max-memory-mb=3", &budget));
+  EXPECT_EQ(budget.deadline_ms, 250);
+  EXPECT_EQ(budget.max_automaton_states, 9);
+  EXPECT_EQ(budget.max_steps, 7);
+  EXPECT_EQ(budget.max_memory_bytes, int64_t{3} << 20);
+  EXPECT_TRUE(*guard::ParseBudgetFlag("--max-memory-mb=1099511627776",
+                                      &budget));  // 2^40
+  EXPECT_EQ(budget.max_memory_bytes, int64_t{1} << 60);
+
+  guard::ExecutionBudget zero;
+  EXPECT_TRUE(*guard::ParseBudgetFlag("--deadline-ms=0", &zero));
+  EXPECT_FALSE(zero.Limited());
+
+  EXPECT_FALSE(*guard::ParseBudgetFlag("--jobs=2", &zero));
+  for (const char* bad : {"--deadline-ms=", "--max-steps=-1", "--max-states=1x",
+                          "--max-memory-mb=1099511627777"}) {
+    auto parsed = guard::ParseBudgetFlag(bad, &zero);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  EXPECT_FALSE(zero.Limited());
+}
+
 TEST(GuardTest, StepQuotaTrips) {
   guard::ExecutionBudget budget;
   budget.max_steps = 10;

@@ -374,6 +374,16 @@ TEST(ExpositionTest, PrometheusExpositionShape) {
 // Structured logging. RTP_LOG compiles to nothing under RTP_OBS_DISABLED,
 // so the emission tests only exist in the enabled build.
 
+TEST(LogLevelTest, ParseInvertsNameAndRejectsOthers) {
+  for (LogLevel level : {LogLevel::kDebug, LogLevel::kInfo, LogLevel::kWarn,
+                         LogLevel::kError, LogLevel::kOff}) {
+    EXPECT_EQ(ParseLogLevel(LogLevelName(level)), level);
+  }
+  EXPECT_FALSE(ParseLogLevel("").has_value());
+  EXPECT_FALSE(ParseLogLevel("WARN").has_value());
+  EXPECT_FALSE(ParseLogLevel("verbose").has_value());
+}
+
 #ifndef RTP_OBS_DISABLED
 
 class LogCaptureTest : public ::testing::Test {

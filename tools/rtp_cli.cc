@@ -12,6 +12,13 @@
 //   rtp_cli [global flags] materialize <view-pattern-file> <xml-file>
 //   rtp_cli [global flags] explain     eval|checkfd|matrix <args...>
 //
+// With --socket=PATH the commands run in a resident rtpd instead, on
+// documents loaded by name (the grammar is in Usage(); docs/SERVING.md).
+// eval, checkfd and matrix print the same bytes either way (serve/ops.h
+// renders both). The budget flags travel with the request; --jobs and the
+// observability flags act on this process only. Exit code 3 means the
+// daemon cannot be reached.
+//
 // `explain` runs the wrapped subcommand with per-operation profiling
 // forced on and appends an EXPLAIN ANALYZE-style report per work item
 // (phase tree with wall times, metric deltas, guard budget consumption)
@@ -43,8 +50,11 @@
 //                        apply it to the whole command and exit 2 with the
 //                        resource status when it trips.
 //   --max-states=N       automaton-state quota per budgeted run.
+//   --max-steps=N        loop-step quota per budgeted run.
 //   --max-memory-mb=N    approximate memory budget (evaluation tables,
 //                        dense DFA tables) per budgeted run.
+//                        Every budget flag takes 0 to mean unlimited.
+//   --socket=PATH        run the command in the rtpd listening at PATH.
 //
 // checkfd and eval accept several XML files; the documents are processed
 // in parallel under --jobs but reported strictly in command-line order,
@@ -57,12 +67,10 @@
 // usage or input error. Input errors print the full status detail (code
 // name + message) on stderr.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -83,7 +91,8 @@
 #include "pattern/evaluator.h"
 #include "pattern/pattern_parser.h"
 #include "schema/schema.h"
-#include "update/update_class.h"
+#include "serve/client.h"
+#include "serve/ops.h"
 #include "view/view.h"
 #include "xml/xml_io.h"
 #include "xpath/xpath.h"
@@ -109,6 +118,12 @@ int Usage(const char* detail = nullptr) {
                "<pattern-file>\n"
                "       rtp_cli [flags] explain     eval|checkfd|matrix "
                "<args...>\n"
+               "       rtp_cli --socket=PATH [flags] "
+               "load|eval|checkfd <tenant> <doc> <file>\n"
+               "       rtp_cli --socket=PATH [flags] matrix <tenant> "
+               "<fd-file>[,...] <update-file>[,...] [schema-file]\n"
+               "       rtp_cli --socket=PATH [flags] stats | shutdown | "
+               "drop <tenant> <doc> | quota <tenant>\n"
                "flags: --stats[=<file>]   dump obs metrics JSON after the "
                "command\n"
                "       --profile[=<file>] dump per-operation query profiles "
@@ -125,8 +140,11 @@ int Usage(const char* detail = nullptr) {
                "for batch subcommands)\n"
                "       --max-states=N     automaton-state quota per "
                "budgeted run\n"
+               "       --max-steps=N      loop-step quota per budgeted run\n"
                "       --max-memory-mb=N  approximate memory budget per "
-               "budgeted run\n");
+               "budgeted run (budget flags: 0 = unlimited)\n"
+               "       --socket=PATH      run the command in the rtpd at "
+               "PATH\n");
   return 2;
 }
 
@@ -138,13 +156,64 @@ StatusOr<std::string> ReadFile(const std::string& path) {
   return out.str();
 }
 
-#define CLI_ASSIGN(lhs, expr)                                       \
-  auto lhs##_or = (expr);                                           \
-  if (!lhs##_or.ok()) {                                             \
-    std::fprintf(stderr, "error: %s\n",                             \
-                 lhs##_or.status().ToString().c_str());             \
-    return 2;                                                       \
-  }                                                                 \
+// ReadFile, or "" when no path is given.
+StatusOr<std::string> ReadOptionalFile(const std::string& path) {
+  if (path.empty()) return std::string();
+  return ReadFile(path);
+}
+
+std::vector<std::string> SplitCommaList(const std::string& list) {
+  std::vector<std::string> parts;
+  size_t start = 0;
+  while (start <= list.size()) {
+    size_t comma = list.find(',', start);
+    if (comma == std::string::npos) comma = list.size();
+    parts.push_back(list.substr(start, comma - start));
+    start = comma + 1;
+  }
+  return parts;
+}
+
+// The contents of each file in a comma-separated list.
+StatusOr<std::vector<std::string>> ReadFileList(const std::string& list) {
+  std::vector<std::string> texts;
+  for (const std::string& path : SplitCommaList(list)) {
+    RTP_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+    texts.push_back(std::move(text));
+  }
+  return texts;
+}
+
+void Print(const std::string& text) { std::fputs(text.c_str(), stdout); }
+
+// Matrix row/column names: the basenames of a comma-separated path list.
+std::vector<std::string> Basenames(const std::string& list) {
+  std::vector<std::string> names;
+  for (const std::string& path : SplitCommaList(list)) {
+    size_t slash = path.find_last_of('/');
+    names.push_back(slash == std::string::npos ? path : path.substr(slash + 1));
+  }
+  return names;
+}
+
+// Prints a matrix result; the exit code is 0 iff every pair is
+// independent. Tripped pairs count as not independent.
+int PrintMatrix(const serve::MatrixResult& result, const std::string& fd_list,
+                const std::string& class_list) {
+  Print(serve::RenderMatrixResult(result, Basenames(fd_list),
+                                  Basenames(class_list)));
+  return result.independent == result.cells.size() ? 0 : 1;
+}
+
+// Prints a failed input or request status; exit code 2.
+int PrintError(const Status& status) {
+  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+  return 2;
+}
+
+#define CLI_ASSIGN(lhs, expr)                                      \
+  auto lhs##_or = (expr);                                          \
+  if (!lhs##_or.ok()) return PrintError(lhs##_or.status());        \
   auto lhs = std::move(lhs##_or).value();
 
 int CmdValidate(Alphabet* alphabet, const std::string& schema_path,
@@ -185,8 +254,7 @@ int CmdCheckFd(Alphabet* alphabet, const std::string& fd_path,
                const guard::ExecutionBudget& budget,
                std::vector<obs::QueryProfile>* profiles) {
   CLI_ASSIGN(fd_text, ReadFile(fd_path));
-  CLI_ASSIGN(parsed, pattern::ParsePattern(alphabet, fd_text));
-  CLI_ASSIGN(fd, fd::FunctionalDependency::FromParsed(std::move(parsed)));
+  CLI_ASSIGN(fd, serve::ParseFd(alphabet, fd_text));
   CLI_ASSIGN(docs, ParseXmlFiles(alphabet, xml_paths));
   fd::BatchCheckOptions options;
   options.jobs = jobs;
@@ -208,12 +276,8 @@ int CmdCheckFd(Alphabet* alphabet, const std::string& fd_path,
       continue;
     }
     all_satisfied = all_satisfied && result.satisfied;
-    std::printf("%s (%zu mappings, %zu groups)\n",
-                result.satisfied ? "satisfied" : "VIOLATED",
-                result.num_mappings, result.num_groups);
-    if (!result.satisfied) {
-      std::printf("%s", result.violation->Describe(docs[d], fd).c_str());
-    }
+    Print(serve::RenderCheckFdResult(
+        serve::MakeCheckFdResult(result, docs[d], fd)));
   }
   if (any_over_budget) return 2;
   return all_satisfied ? 0 : 1;
@@ -236,38 +300,14 @@ int CmdEval(Alphabet* alphabet, const std::string& pattern_path,
                                                 &statuses);
   bool any_over_budget = false;
   for (size_t d = 0; d < per_doc.size(); ++d) {
+    if (xml_paths.size() > 1) std::printf("%s: ", xml_paths[d].c_str());
     if (!statuses[d].ok()) {
       any_over_budget = true;
-      if (xml_paths.size() > 1) std::printf("%s: ", xml_paths[d].c_str());
       std::printf("no result (%s)\n", statuses[d].ToString().c_str());
       continue;
     }
-    const xml::Document& doc = docs[d];
-    auto& tuples = per_doc[d];
-    // Emit tuples sorted by document order (lexicographic preorder
-    // comparison), not in enumeration order: enumeration order is an
-    // implementation detail of the match tables, and output must be
-    // stable for any --jobs value and across evaluator changes.
-    std::sort(tuples.begin(), tuples.end(),
-              [&doc](const std::vector<xml::NodeId>& a,
-                     const std::vector<xml::NodeId>& b) {
-                for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-                  uint32_t pa = doc.PreorderIndex(a[i]);
-                  uint32_t pb = doc.PreorderIndex(b[i]);
-                  if (pa != pb) return pa < pb;
-                }
-                return a.size() < b.size();
-              });
-    if (xml_paths.size() > 1) std::printf("%s: ", xml_paths[d].c_str());
-    std::printf("%zu tuple(s)\n", tuples.size());
-    for (const auto& tuple : tuples) {
-      for (size_t i = 0; i < tuple.size(); ++i) {
-        std::printf(
-            "%s%s", i ? "\t" : "",
-            xml::WriteXmlSubtree(doc, tuple[i], /*indent=*/false).c_str());
-      }
-      std::printf("\n");
-    }
+    Print(serve::RenderEvalResult(
+        serve::MakeEvalResult(docs[d], std::move(per_doc[d]))));
   }
   return any_over_budget ? 2 : 0;
 }
@@ -291,24 +331,15 @@ int CmdIndependent(Alphabet* alphabet, const std::string& fd_path,
                    const std::string& schema_path) {
   CLI_ASSIGN(fd_text, ReadFile(fd_path));
   CLI_ASSIGN(update_text, ReadFile(update_path));
-  CLI_ASSIGN(fd_parsed, pattern::ParsePattern(alphabet, fd_text));
-  CLI_ASSIGN(fd, fd::FunctionalDependency::FromParsed(std::move(fd_parsed)));
-  CLI_ASSIGN(u_parsed, pattern::ParsePattern(alphabet, update_text));
-  CLI_ASSIGN(cls, update::UpdateClass::FromParsed(std::move(u_parsed)));
-
-  std::optional<schema::Schema> schema_storage;
-  const schema::Schema* schema = nullptr;
-  if (!schema_path.empty()) {
-    CLI_ASSIGN(schema_text, ReadFile(schema_path));
-    CLI_ASSIGN(parsed_schema, schema::Schema::Parse(alphabet, schema_text));
-    schema_storage = std::move(parsed_schema);
-    schema = &*schema_storage;
-  }
-
+  CLI_ASSIGN(schema_text, ReadOptionalFile(schema_path));
+  CLI_ASSIGN(inputs, serve::ParseMatrixInputs(alphabet, {fd_text},
+                                              {update_text}, schema_text));
   independence::CriterionOptions options;
   options.want_conflict_candidate = true;
-  CLI_ASSIGN(verdict, independence::CheckIndependence(fd, cls, schema,
-                                                      alphabet, options));
+  CLI_ASSIGN(verdict,
+             independence::CheckIndependence(
+                 inputs.fds[0], inputs.classes[0],
+                 inputs.schema ? &*inputs.schema : nullptr, alphabet, options));
   if (verdict.independent) {
     std::printf("independent (criterion IC holds; product size %lld)\n",
                 static_cast<long long>(verdict.product_size));
@@ -322,92 +353,22 @@ int CmdIndependent(Alphabet* alphabet, const std::string& fd_path,
   return 1;
 }
 
-std::vector<std::string> SplitCommaList(const std::string& list) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  while (start <= list.size()) {
-    size_t comma = list.find(',', start);
-    if (comma == std::string::npos) comma = list.size();
-    parts.push_back(list.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return parts;
-}
-
-std::string Basename(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
 int CmdMatrix(Alphabet* alphabet, const std::string& fd_list,
               const std::string& update_list, const std::string& schema_path,
               int jobs, const guard::ExecutionBudget& budget,
               std::vector<obs::QueryProfile>* profiles) {
-  std::vector<std::string> fd_paths = SplitCommaList(fd_list);
-  std::vector<std::string> update_paths = SplitCommaList(update_list);
-
-  std::vector<fd::FunctionalDependency> fds;
-  fds.reserve(fd_paths.size());
-  for (const std::string& path : fd_paths) {
-    CLI_ASSIGN(text, ReadFile(path));
-    CLI_ASSIGN(parsed, pattern::ParsePattern(alphabet, text));
-    CLI_ASSIGN(fd, fd::FunctionalDependency::FromParsed(std::move(parsed)));
-    fds.push_back(std::move(fd));
-  }
-  std::vector<update::UpdateClass> classes;
-  classes.reserve(update_paths.size());
-  for (const std::string& path : update_paths) {
-    CLI_ASSIGN(text, ReadFile(path));
-    CLI_ASSIGN(parsed, pattern::ParsePattern(alphabet, text));
-    CLI_ASSIGN(cls, update::UpdateClass::FromParsed(std::move(parsed)));
-    classes.push_back(std::move(cls));
-  }
-
-  std::optional<schema::Schema> schema_storage;
-  const schema::Schema* schema = nullptr;
-  if (!schema_path.empty()) {
-    CLI_ASSIGN(schema_text, ReadFile(schema_path));
-    CLI_ASSIGN(parsed_schema, schema::Schema::Parse(alphabet, schema_text));
-    schema_storage = std::move(parsed_schema);
-    schema = &*schema_storage;
-  }
-
-  std::vector<const fd::FunctionalDependency*> fd_ptrs;
-  for (const auto& fd : fds) fd_ptrs.push_back(&fd);
-  std::vector<const update::UpdateClass*> class_ptrs;
-  for (const auto& cls : classes) class_ptrs.push_back(&cls);
-
+  CLI_ASSIGN(fd_texts, ReadFileList(fd_list));
+  CLI_ASSIGN(class_texts, ReadFileList(update_list));
+  CLI_ASSIGN(schema_text, ReadOptionalFile(schema_path));
+  CLI_ASSIGN(inputs, serve::ParseMatrixInputs(alphabet, fd_texts, class_texts,
+                                              schema_text));
   independence::MatrixOptions options;
   options.jobs = jobs;
   options.cache = &exec::AutomatonCache::Global();
   options.budget = budget;
   options.profiles = profiles;
-  CLI_ASSIGN(matrix,
-             independence::ComputeIndependenceMatrix(fd_ptrs, class_ptrs,
-                                                     schema, alphabet,
-                                                     options));
-
-  std::vector<std::string> fd_names;
-  for (const std::string& path : fd_paths) fd_names.push_back(Basename(path));
-  std::vector<std::string> class_names;
-  for (const std::string& path : update_paths) {
-    class_names.push_back(Basename(path));
-  }
-  std::printf("%s", matrix.ToString(fd_names, class_names).c_str());
-  size_t independent = 0;
-  size_t over_budget = 0;
-  for (const auto& entry : matrix.entries) {
-    if (entry.independent) ++independent;
-    if (!entry.status.ok()) ++over_budget;
-  }
-  std::printf("%zu/%zu pair(s) independent\n", independent,
-              matrix.entries.size());
-  // Tripped pairs already count as not-independent (the conservative
-  // verdict), so the exit code needs no special case for them.
-  if (over_budget > 0) {
-    std::printf("%zu pair(s) over budget\n", over_budget);
-  }
-  return independent == matrix.entries.size() ? 0 : 1;
+  CLI_ASSIGN(matrix, inputs.Compute(alphabet, options));
+  return PrintMatrix(serve::MakeMatrixResult(matrix), fd_list, update_list);
 }
 
 int CmdDot(Alphabet* alphabet, const std::string& what,
@@ -435,7 +396,6 @@ int CmdDot(Alphabet* alphabet, const std::string& what,
                    .c_str());
   return 2;
 }
-
 int CmdMaterialize(Alphabet* alphabet, const std::string& view_path,
                    const std::string& xml_path) {
   CLI_ASSIGN(view_text, ReadFile(view_path));
@@ -446,6 +406,83 @@ int CmdMaterialize(Alphabet* alphabet, const std::string& view_path,
   xml::Document result = v.Materialize(doc);
   std::printf("%s", xml::WriteXml(result).c_str());
   return 0;
+}
+
+// Runs one command in the rtpd at `socket_path` (the --socket= mode).
+int RunRemote(const std::string& socket_path,
+              const std::vector<std::string>& args,
+              const guard::ExecutionBudget& budget) {
+  if (args.empty()) return Usage();
+  auto client_or = serve::Client::Connect(socket_path);
+  if (!client_or.ok()) {
+    PrintError(client_or.status());
+    return 3;
+  }
+  serve::Client client = std::move(client_or).value();
+  serve::CallOptions options;
+  options.budget = budget;
+  const std::string& cmd = args[0];
+  const size_t argc = args.size();
+
+  if (cmd == "load" && argc == 4) {
+    CLI_ASSIGN(xml_text, ReadFile(args[3]));
+    Status status = client.Load(args[1], args[2], xml_text, options);
+    if (!status.ok()) return PrintError(status);
+    std::printf("loaded %s\n", args[2].c_str());
+    return 0;
+  }
+  if (cmd == "eval" && argc == 4) {
+    CLI_ASSIGN(pattern_text, ReadFile(args[3]));
+    CLI_ASSIGN(result, client.Eval(args[1], args[2], pattern_text, options));
+    Print(serve::RenderEvalResult(result));
+    return 0;
+  }
+  if (cmd == "checkfd" && argc == 4) {
+    CLI_ASSIGN(fd_text, ReadFile(args[3]));
+    CLI_ASSIGN(result, client.CheckFd(args[1], args[2], fd_text, options));
+    Print(serve::RenderCheckFdResult(result));
+    return result.satisfied ? 0 : 1;
+  }
+  if (cmd == "matrix" && (argc == 4 || argc == 5)) {
+    CLI_ASSIGN(fd_texts, ReadFileList(args[2]));
+    CLI_ASSIGN(class_texts, ReadFileList(args[3]));
+    CLI_ASSIGN(schema_text, ReadOptionalFile(argc == 5 ? args[4] : ""));
+    CLI_ASSIGN(result, client.Matrix(args[1], fd_texts, class_texts,
+                                     schema_text, options));
+    return PrintMatrix(result, args[2], args[3]);
+  }
+  if (cmd == "stats" && argc == 1) {
+    CLI_ASSIGN(stats, client.Stats());
+    for (const serve::TenantStats& tenant : stats) {
+      std::printf(
+          "%s: %lld doc(s), %lld request(s), %lld error(s), %lld trip(s)\n",
+          tenant.name.c_str(), static_cast<long long>(tenant.docs),
+          static_cast<long long>(tenant.requests),
+          static_cast<long long>(tenant.errors),
+          static_cast<long long>(tenant.trips));
+    }
+    return 0;
+  }
+  if (cmd == "drop" && argc == 3) {
+    CLI_ASSIGN(dropped, client.Drop(args[1], args[2]));
+    std::printf("%s\n", dropped ? "dropped" : "not found");
+    return dropped ? 0 : 1;
+  }
+  if (cmd == "quota" && argc == 2) {
+    Status status = client.Quota(args[1], budget);
+    if (!status.ok()) return PrintError(status);
+    std::printf("quota set\n");
+    return 0;
+  }
+  if (cmd == "shutdown" && argc == 1) {
+    Status status = client.Shutdown();
+    if (!status.ok()) return PrintError(status);
+    std::printf("shutting down\n");
+    return 0;
+  }
+  return Usage(("unknown remote command or wrong number of arguments for '" +
+                cmd + "'")
+                   .c_str());
 }
 
 // Global observability options extracted from argv.
@@ -566,21 +603,13 @@ int Dispatch(const std::vector<std::string>& args, int jobs,
   return Usage(detail.c_str());
 }
 
-// Parses "<prefix><positive integer>". Returns -1 on malformed input.
-int64_t ParseCountFlag(std::string_view arg, const char* prefix) {
-  std::string value(arg.substr(std::strlen(prefix)));
-  char* end = nullptr;
-  long long parsed = std::strtoll(value.c_str(), &end, 10);
-  if (value.empty() || *end != '\0' || parsed <= 0) return -1;
-  return parsed;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   ObsOptions obs_options;
   int jobs = 1;
   guard::ExecutionBudget budget;
+  std::string socket_path;
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
@@ -600,20 +629,12 @@ int main(int argc, char** argv) {
       obs_options.prometheus = true;
       obs_options.prometheus_file = arg.substr(std::strlen("--prometheus="));
     } else if (arg.rfind("--log-level=", 0) == 0) {
-      std::string level(arg.substr(std::strlen("--log-level=")));
-      if (level == "debug") {
-        obs::SetLogLevel(obs::LogLevel::kDebug);
-      } else if (level == "info") {
-        obs::SetLogLevel(obs::LogLevel::kInfo);
-      } else if (level == "warn") {
-        obs::SetLogLevel(obs::LogLevel::kWarn);
-      } else if (level == "error") {
-        obs::SetLogLevel(obs::LogLevel::kError);
-      } else if (level == "off") {
-        obs::SetLogLevel(obs::LogLevel::kOff);
-      } else {
-        return Usage("--log-level must be debug|info|warn|error|off");
-      }
+      auto level = obs::ParseLogLevel(arg.substr(std::strlen("--log-level=")));
+      if (!level) return Usage("--log-level must be debug|info|warn|error|off");
+      obs::SetLogLevel(*level);
+    } else if (arg.rfind("--socket=", 0) == 0) {
+      socket_path = arg.substr(std::strlen("--socket="));
+      if (socket_path.empty()) return Usage("--socket requires a path");
     } else if (arg.rfind("--trace-out=", 0) == 0) {
       obs_options.trace_file = arg.substr(std::strlen("--trace-out="));
       if (obs_options.trace_file.empty()) {
@@ -628,24 +649,14 @@ int main(int argc, char** argv) {
       }
       jobs = parsed == 0 ? exec::ThreadPool::DefaultJobs()
                          : static_cast<int>(parsed);
-    } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      budget.deadline_ms = ParseCountFlag(arg, "--deadline-ms=");
-      if (budget.deadline_ms < 0) {
-        return Usage("--deadline-ms requires a positive integer");
-      }
-    } else if (arg.rfind("--max-states=", 0) == 0) {
-      budget.max_automaton_states = ParseCountFlag(arg, "--max-states=");
-      if (budget.max_automaton_states < 0) {
-        return Usage("--max-states requires a positive integer");
-      }
-    } else if (arg.rfind("--max-memory-mb=", 0) == 0) {
-      int64_t mb = ParseCountFlag(arg, "--max-memory-mb=");
-      if (mb < 0 || mb > (int64_t{1} << 40)) {
-        return Usage("--max-memory-mb requires a positive integer");
-      }
-      budget.max_memory_bytes = mb << 20;
     } else if (arg.rfind("--", 0) == 0) {
-      return Usage(("unknown flag '" + std::string(arg) + "'").c_str());
+      auto budget_flag = guard::ParseBudgetFlag(arg, &budget);
+      if (!budget_flag.ok()) {
+        return Usage(budget_flag.status().message().c_str());
+      }
+      if (!*budget_flag) {
+        return Usage(("unknown flag '" + std::string(arg) + "'").c_str());
+      }
     } else {
       args.emplace_back(arg);
     }
@@ -655,8 +666,11 @@ int main(int argc, char** argv) {
   if (!obs_options.trace_file.empty()) trace_session.Start();
 
   std::vector<obs::QueryProfile> profiles;
-  int exit_code = Dispatch(args, jobs, budget,
-                           obs_options.profile ? &profiles : nullptr);
+  int exit_code =
+      socket_path.empty()
+          ? Dispatch(args, jobs, budget,
+                     obs_options.profile ? &profiles : nullptr)
+          : RunRemote(socket_path, args, budget);
 
   if (!obs_options.trace_file.empty()) {
     trace_session.Stop();

@@ -25,6 +25,7 @@
 #include <string>
 
 #include "exec/thread_pool.h"
+#include "guard/guard.h"
 #include "obs/log.h"
 #include "serve/server.h"
 
@@ -113,42 +114,19 @@ int main(int argc, char** argv) {
         return Usage("--max-retry-after-ms requires a nonnegative integer");
       }
       options.max_retry_after_ms = static_cast<int>(ms);
-    } else if (std::strncmp(arg, "--deadline-ms=", 14) == 0) {
-      options.default_budget.deadline_ms = ParseCountFlag(arg, "--deadline-ms=");
-      if (options.default_budget.deadline_ms < 0) {
-        return Usage("--deadline-ms requires a nonnegative integer");
-      }
-    } else if (std::strncmp(arg, "--max-states=", 13) == 0) {
-      options.default_budget.max_automaton_states =
-          ParseCountFlag(arg, "--max-states=");
-      if (options.default_budget.max_automaton_states < 0) {
-        return Usage("--max-states requires a nonnegative integer");
-      }
-    } else if (std::strncmp(arg, "--max-steps=", 12) == 0) {
-      options.default_budget.max_steps = ParseCountFlag(arg, "--max-steps=");
-      if (options.default_budget.max_steps < 0) {
-        return Usage("--max-steps requires a nonnegative integer");
-      }
-    } else if (std::strncmp(arg, "--max-memory-mb=", 16) == 0) {
-      int64_t mb = ParseCountFlag(arg, "--max-memory-mb=");
-      if (mb < 0 || mb > (int64_t{1} << 40)) {
-        return Usage("--max-memory-mb requires a nonnegative integer");
-      }
-      options.default_budget.max_memory_bytes = mb << 20;
     } else if (std::strncmp(arg, "--log-level=", 12) == 0) {
-      std::string level = arg + 12;
-      if (level == "debug") rtp::obs::SetLogLevel(rtp::obs::LogLevel::kDebug);
-      else if (level == "info") rtp::obs::SetLogLevel(rtp::obs::LogLevel::kInfo);
-      else if (level == "warn") rtp::obs::SetLogLevel(rtp::obs::LogLevel::kWarn);
-      else if (level == "error") {
-        rtp::obs::SetLogLevel(rtp::obs::LogLevel::kError);
-      } else if (level == "off") {
-        rtp::obs::SetLogLevel(rtp::obs::LogLevel::kOff);
-      } else {
-        return Usage("--log-level must be debug|info|warn|error|off");
-      }
+      auto level = rtp::obs::ParseLogLevel(arg + 12);
+      if (!level) return Usage("--log-level must be debug|info|warn|error|off");
+      rtp::obs::SetLogLevel(*level);
     } else {
-      return Usage(("unknown flag '" + std::string(arg) + "'").c_str());
+      auto budget_flag =
+          rtp::guard::ParseBudgetFlag(arg, &options.default_budget);
+      if (!budget_flag.ok()) {
+        return Usage(budget_flag.status().message().c_str());
+      }
+      if (!*budget_flag) {
+        return Usage(("unknown flag '" + std::string(arg) + "'").c_str());
+      }
     }
   }
   if (options.socket_path.empty()) return Usage("--socket is required");

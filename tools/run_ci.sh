@@ -31,14 +31,15 @@
 #                 rtp::obs macro compiled to a no-op, so the disabled
 #                 path (and the tests' SKIP guards) cannot rot. See
 #                 docs/OBSERVABILITY.md.
-#   serve         builds rtpd + rtpd_client + the serve battery in the
+#   serve         builds rtpd + rtp_cli + the serve battery in the
 #                 plain and tsan trees, runs `ctest -L serve` in both,
 #                 then smoke-tests a real daemon: starts rtpd on a temp
-#                 socket, loads examples/data/exam.xml, and diffs an
-#                 rtpd_client eval round-trip against the serial
-#                 `rtp_cli eval` output (the bit-identity contract of
-#                 docs/SERVING.md).
-#   load          builds rtpd + rtpd_client + rtp_load in the plain tree,
+#                 socket, loads examples/data/exam.xml, and diffs the
+#                 `rtp_cli --socket=` eval, checkfd (fd1) and matrix
+#                 (fd1,fd5 x update_u with exam.schema) round-trips
+#                 against in-process `rtp_cli` output (the bit-identity
+#                 contract of docs/SERVING.md).
+#   load          builds rtpd + rtp_cli + rtp_load in the plain tree,
 #                 starts a real daemon, and runs the committed
 #                 examples/workloads/smoke.json twice with the same seed
 #                 (4 client threads). rtp_load exits non-zero on any
@@ -169,22 +170,28 @@ run_serve_smoke() {
   "$build_dir/tools/rtpd" --socket="$sock" --jobs=2 &
   local rtpd_pid=$!
   # shellcheck disable=SC2064  # expand now: kill the daemon we started
-  trap "kill $rtpd_pid 2>/dev/null; wait $rtpd_pid 2>/dev/null; rm -rf '$workdir'" RETURN
+  trap "kill $rtpd_pid 2>/dev/null || true; wait $rtpd_pid 2>/dev/null || true; rm -rf '$workdir'" RETURN
   local i
   for i in $(seq 1 50); do
     [ -S "$sock" ] && break
     sleep 0.1
   done
   [ -S "$sock" ] || { echo "rtpd did not come up" >&2; return 1; }
-  "$build_dir/tools/rtpd_client" --socket="$sock" load smoke exam \
-    "$source_dir/examples/data/exam.xml"
-  "$build_dir/tools/rtpd_client" --socket="$sock" eval smoke exam \
-    "$source_dir/examples/data/update_u.pattern" > "$workdir/served.txt"
-  "$build_dir/tools/rtp_cli" eval \
-    "$source_dir/examples/data/update_u.pattern" \
-    "$source_dir/examples/data/exam.xml" > "$workdir/serial.txt"
+  local cli="$build_dir/tools/rtp_cli" d="$source_dir/examples/data"
+  local u="$d/update_u.pattern" fds="$d/fd1.fd,$d/fd5.fd"
+  "$cli" --socket="$sock" load smoke exam "$d/exam.xml"
+  {
+    "$cli" --socket="$sock" eval smoke exam "$u"
+    "$cli" --socket="$sock" checkfd smoke exam "$d/fd1.fd"
+    "$cli" --socket="$sock" matrix smoke "$fds" "$u" "$d/exam.schema"
+  } > "$workdir/served.txt"
+  {
+    "$cli" eval "$u" "$d/exam.xml"
+    "$cli" checkfd "$d/fd1.fd" "$d/exam.xml"
+    "$cli" matrix "$fds" "$u" "$d/exam.schema"
+  } > "$workdir/serial.txt"
   diff -u "$workdir/serial.txt" "$workdir/served.txt"
-  "$build_dir/tools/rtpd_client" --socket="$sock" shutdown
+  "$cli" --socket="$sock" shutdown
   wait "$rtpd_pid"
   echo "==== [serve] smoke: resident output identical to serial rtp_cli" >&2
 }
@@ -194,7 +201,7 @@ run_serve() {
   echo "==== [serve] configure + build (plain)" >&2
   cmake -B "$build_dir" -S "$source_dir" -DRTP_SANITIZE="" > /dev/null
   cmake --build "$build_dir" -j "$jobs" --target \
-    rtpd rtpd_client rtp_cli rtp_serve_tests
+    rtpd rtp_cli rtp_serve_tests
   echo "==== [serve] ctest -L serve (plain)" >&2
   (cd "$build_dir" &&
     ctest --output-on-failure --no-tests=error -j "$jobs" -L serve)
@@ -216,7 +223,7 @@ run_load() {
   local build_dir="${prefix}-plain"
   echo "==== [load] configure + build (plain)" >&2
   cmake -B "$build_dir" -S "$source_dir" -DRTP_SANITIZE="" > /dev/null
-  cmake --build "$build_dir" -j "$jobs" --target rtpd rtpd_client rtp_load
+  cmake --build "$build_dir" -j "$jobs" --target rtpd rtp_cli rtp_load
   local workdir sock
   workdir="$(mktemp -d)"
   sock="$workdir/rtpd.sock"
@@ -224,7 +231,7 @@ run_load() {
   "$build_dir/tools/rtpd" --socket="$sock" --jobs=4 &
   local rtpd_pid=$!
   # shellcheck disable=SC2064  # expand now: kill the daemon we started
-  trap "kill $rtpd_pid 2>/dev/null; wait $rtpd_pid 2>/dev/null; rm -rf '$workdir'" RETURN
+  trap "kill $rtpd_pid 2>/dev/null || true; wait $rtpd_pid 2>/dev/null || true; rm -rf '$workdir'" RETURN
   local i
   for i in $(seq 1 50); do
     [ -S "$sock" ] && break
@@ -241,7 +248,7 @@ run_load() {
   done
   echo "==== [load] diffing per-node op counts across the two runs" >&2
   diff -u "$workdir/counts1.txt" "$workdir/counts2.txt"
-  "$build_dir/tools/rtpd_client" --socket="$sock" shutdown
+  "$build_dir/tools/rtp_cli" --socket="$sock" shutdown
   wait "$rtpd_pid"
   echo "==== [load] same-seed runs produced identical per-node counts" >&2
 }
@@ -256,7 +263,7 @@ run_chaos() {
   echo "==== [chaos] configure + build (plain)" >&2
   cmake -B "$build_dir" -S "$source_dir" -DRTP_SANITIZE="" > /dev/null
   cmake --build "$build_dir" -j "$jobs" --target \
-    rtpd rtpd_client rtp_load rtp_chaos_proxy
+    rtpd rtp_cli rtp_load rtp_chaos_proxy
   local workdir sock front
   workdir="$(mktemp -d)"
   sock="$workdir/rtpd.sock"
@@ -266,7 +273,7 @@ run_chaos() {
     --idle-timeout-ms=30000 &
   local rtpd_pid=$!
   # shellcheck disable=SC2064  # expand now: kill what we started
-  trap "kill $rtpd_pid 2>/dev/null; wait $rtpd_pid 2>/dev/null; rm -rf '$workdir'" RETURN
+  trap "kill $rtpd_pid 2>/dev/null || true; wait $rtpd_pid 2>/dev/null || true; rm -rf '$workdir'" RETURN
   local i
   for i in $(seq 1 50); do
     [ -S "$sock" ] && break
@@ -304,9 +311,9 @@ run_chaos() {
   wait "$proxy_pid"
 
   echo "==== [chaos] daemon still answers after both schedules" >&2
-  "$build_dir/tools/rtpd_client" --socket="$sock" load chaosci exam \
+  "$build_dir/tools/rtp_cli" --socket="$sock" load chaosci exam \
     "$source_dir/examples/data/exam.xml"
-  "$build_dir/tools/rtpd_client" --socket="$sock" shutdown
+  "$build_dir/tools/rtp_cli" --socket="$sock" shutdown
   wait "$rtpd_pid"
 
   local tsan_dir="${prefix}-tsan"
