@@ -21,6 +21,14 @@ struct Case {
   bool expect_independent;
 };
 
+// Without this gtest prints a Case as its raw bytes, pointers included;
+// gtest_discover_tests copies that text into the ctest test name, so the
+// names would change with every run of the discovery step.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << (c.expect_independent ? "independent" : "dependent")
+      << (c.with_schema ? "/schema" : "");
+}
+
 // fd templates reused across cases.
 constexpr const char* kFd1 = R"(
   root { c = session { x = candidate/exam { p1 = discipline; p2 = mark; q = rank; } } }
