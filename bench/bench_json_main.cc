@@ -9,11 +9,12 @@
 //    "counters":{"mappings":96},
 //    "metrics":{"counters":{...},"gauges":{...},"histograms":{...}}}
 //
-// "metrics" is a snapshot of the rtp::obs registry taken right after the
-// run finished; values are cumulative for the process, so per-benchmark
-// deltas need consecutive-line subtraction. The destination is chosen by
-// --json-out=<file> or the RTP_BENCH_JSON env var (append mode); without
-// either, lines go to stdout after the console report.
+// "metrics" is what the benchmark added to the rtp::obs registry: the
+// SnapshotDelta between the snapshots taken after the previous report and
+// after this one, all repetitions included (gauges and histogram min/max
+// stay instantaneous). The destination is chosen by --json-out=<file> or
+// the RTP_BENCH_JSON env var (append mode); without either, lines go to
+// stdout after the console report.
 
 #include <benchmark/benchmark.h>
 
@@ -25,25 +26,12 @@
 #include <string>
 #include <vector>
 
+#include "obs/exposition.h"
 #include "obs/metrics.h"
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
+using rtp::obs::internal::JsonEscape;
 
 // Console output plus one JSON line per iteration run.
 class JsonLineReporter : public benchmark::ConsoleReporter {
@@ -52,6 +40,10 @@ class JsonLineReporter : public benchmark::ConsoleReporter {
 
   void ReportRuns(const std::vector<Run>& report) override {
     benchmark::ConsoleReporter::ReportRuns(report);
+    rtp::obs::MetricsSnapshot now = rtp::obs::TakeSnapshot();
+    std::string metrics =
+        rtp::obs::SnapshotToJson(rtp::obs::SnapshotDelta(previous_, now));
+    previous_ = std::move(now);
     for (const Run& run : report) {
       if (run.run_type != Run::RT_Iteration) continue;
       if (run.report_big_o || run.report_rms) continue;
@@ -69,13 +61,14 @@ class JsonLineReporter : public benchmark::ConsoleReporter {
         first = false;
         *json_out_ << "\"" << JsonEscape(name) << "\":" << counter.value;
       }
-      *json_out_ << "},\"metrics\":" << rtp::obs::DumpJson() << "}\n";
+      *json_out_ << "},\"metrics\":" << metrics << "}\n";
     }
     json_out_->flush();
   }
 
  private:
   std::ostream* json_out_;
+  rtp::obs::MetricsSnapshot previous_ = rtp::obs::TakeSnapshot();
 };
 
 }  // namespace

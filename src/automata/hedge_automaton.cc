@@ -208,37 +208,13 @@ std::vector<std::optional<HedgeAutomaton::Recipe>> HedgeAutomaton::Saturate()
   return recipes;
 }
 
-bool HedgeAutomaton::IsEmptyLanguage() const {
-  RTP_OBS_COUNT("automata.emptiness.checks");
-  RTP_OBS_SCOPED_TIMER("automata.emptiness.ns");
-  RTP_OBS_TRACE_SPAN("automata.IsEmptyLanguage");
-  auto recipes = Saturate();
+std::optional<std::vector<StateId>> HedgeAutomaton::RootChildWord(
+    std::vector<std::optional<Recipe>>* recipes) const {
+  *recipes = Saturate();
   std::vector<bool> inhabited(NumStates(), false);
   for (StateId q = 0; q < NumStates(); ++q) {
-    inhabited[q] = recipes[q].has_value();
+    inhabited[q] = (*recipes)[q].has_value();
   }
-  for (const Transition& t : transitions_) {
-    if (!t.guard.Admits(Alphabet::kRootLabel)) continue;
-    bool is_accepting_target =
-        std::find(root_accepting_.begin(), root_accepting_.end(), t.target) !=
-        root_accepting_.end();
-    if (!is_accepting_target) continue;
-    if (AcceptedWordOver(t.horizontal, inhabited).has_value()) return false;
-  }
-  return true;
-}
-
-StatusOr<Document> HedgeAutomaton::FindWitnessDocument(
-    Alphabet* alphabet) const {
-  auto recipes = Saturate();
-  std::vector<bool> inhabited(NumStates(), false);
-  for (StateId q = 0; q < NumStates(); ++q) {
-    inhabited[q] = recipes[q].has_value();
-  }
-
-  // Find a root transition.
-  const Transition* root_transition = nullptr;
-  std::vector<StateId> root_word;
   for (const Transition& t : transitions_) {
     if (!t.guard.Admits(Alphabet::kRootLabel)) continue;
     if (std::find(root_accepting_.begin(), root_accepting_.end(), t.target) ==
@@ -246,13 +222,24 @@ StatusOr<Document> HedgeAutomaton::FindWitnessDocument(
       continue;
     }
     auto word = AcceptedWordOver(t.horizontal, inhabited);
-    if (word.has_value()) {
-      root_transition = &t;
-      root_word = std::move(*word);
-      break;
-    }
+    if (word.has_value()) return word;
   }
-  if (root_transition == nullptr) {
+  return std::nullopt;
+}
+
+bool HedgeAutomaton::IsEmptyLanguage() const {
+  RTP_OBS_COUNT("automata.emptiness.checks");
+  RTP_OBS_SCOPED_TIMER("automata.emptiness.ns");
+  RTP_OBS_TRACE_SPAN("automata.IsEmptyLanguage");
+  std::vector<std::optional<Recipe>> recipes;
+  return !RootChildWord(&recipes).has_value();
+}
+
+StatusOr<Document> HedgeAutomaton::FindWitnessDocument(
+    Alphabet* alphabet) const {
+  std::vector<std::optional<Recipe>> recipes;
+  std::optional<std::vector<StateId>> root_word = RootChildWord(&recipes);
+  if (!root_word.has_value()) {
     return NotFoundError("the automaton's language is empty");
   }
 
@@ -299,7 +286,7 @@ StatusOr<Document> HedgeAutomaton::FindWitnessDocument(
     }
   };
   Builder builder{*this, recipes, alphabet, &doc};
-  for (StateId q : root_word) builder.Build(q, doc.root());
+  for (StateId q : *root_word) builder.Build(q, doc.root());
   return doc;
 }
 

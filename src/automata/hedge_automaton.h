@@ -105,6 +105,15 @@ class HedgeAutomaton {
   // Shared saturation engine: returns per-state inhabitation recipes.
   std::vector<std::optional<Recipe>> Saturate() const;
 
+  // The one root search behind IsEmptyLanguage and FindWitnessDocument:
+  // stores Saturate()'s recipes in `recipes`, then takes the first
+  // transition (in order) that admits the root label into a
+  // root-accepting state and whose horizontal language has a word over
+  // inhabited states. Returns that word (the root's children), or nullopt
+  // iff the language is empty.
+  std::optional<std::vector<StateId>> RootChildWord(
+      std::vector<std::optional<Recipe>>* recipes) const;
+
   // Finds a word over `inhabited` states accepted by `dfa` (shortest by
   // BFS); nullopt if none.
   static std::optional<std::vector<StateId>> AcceptedWordOver(

@@ -1,5 +1,6 @@
 #include "automata/product.h"
 
+#include <algorithm>
 #include <map>
 #include <tuple>
 
@@ -33,20 +34,16 @@ std::vector<StateId> ConsumableSymbols(const regex::Dfa& dfa, int32_t h,
   return symbols;
 }
 
-// Builds the product horizontal DFA for one transition pair.
-//
-// track_met = false: product symbols are pair ids qa * nb + qb; states are
-// (h1, h2); accepting iff both accepting.
-//
-// track_met = true: product symbols are (qa * nb + qb) * 2 + m; states are
-// (h1, h2, orbit) with orbit |= m; `met_accept` selects which final met
-// value the produced DFA accepts: the parent's met is own_mark || orbit, so
-// the met=1 variant accepts orbit==1 (or anything when own_mark), and the
-// met=0 variant accepts orbit==0 (impossible when own_mark).
+// Builds the product horizontal DFA for one transition pair of a product
+// of width w (see Product below). Product symbols are
+// (qa * nb + qb) * w + m; states are (h1, h2, orbit) with orbit |= m, the
+// met value seen among the children so far. The parent's met is
+// own_mark || orbit, clamped to w - 1 like every m of the product, and
+// the DFA accepts iff both components accept and that value is
+// `target_m`.
 regex::Dfa ProductHorizontal(const regex::Dfa& ha, const regex::Dfa& hb,
-                             int32_t na, int32_t nb, bool track_met,
-                             bool own_mark, bool met_accept,
-                             const HedgeAutomaton& a,
+                             int32_t na, int32_t nb, int w, bool own_mark,
+                             int target_m, const HedgeAutomaton& a,
                              const HedgeAutomaton& b) {
   struct Key {
     int32_t h1, h2;
@@ -76,13 +73,9 @@ regex::Dfa ProductHorizontal(const regex::Dfa& ha, const regex::Dfa& hb,
   for (size_t i = 0; i < order.size(); ++i) {
     if (!guard::KeepGoing()) break;
     Key key = order[i];
-    bool both_accepting = ha.accepting(key.h1) && hb.accepting(key.h2);
-    if (!track_met) {
-      states[i].accepting = both_accepting;
-    } else {
-      bool met = own_mark || key.orbit == 1;
-      states[i].accepting = both_accepting && (met == met_accept);
-    }
+    int met = std::min(own_mark || key.orbit == 1 ? 1 : 0, w - 1);
+    states[i].accepting =
+        ha.accepting(key.h1) && hb.accepting(key.h2) && met == target_m;
     // Enumerate consumable product symbols.
     for (StateId qa : ConsumableSymbols(ha, key.h1, na)) {
       int32_t nh1 = ha.Next(key.h1, static_cast<LabelId>(qa));
@@ -90,23 +83,15 @@ regex::Dfa ProductHorizontal(const regex::Dfa& ha, const regex::Dfa& hb,
       for (StateId qb : ConsumableSymbols(hb, key.h2, nb)) {
         int32_t nh2 = hb.Next(key.h2, static_cast<LabelId>(qb));
         if (nh2 == regex::kDeadState) continue;
-        if (!track_met) {
-          LabelId symbol = static_cast<LabelId>(qa * nb + qb);
-          int32_t target = intern({nh1, nh2, 0});
+        // A child can only report m if its own state allows it; we
+        // conservatively enumerate every m and rely on child states
+        // (qa, qb, m) being inhabited only when consistent. A child whose
+        // own marks meet always reports the top value w - 1.
+        bool child_marks = a.mark(qa) && b.mark(qb);
+        for (int m = child_marks ? w - 1 : 0; m < w; ++m) {
+          LabelId symbol = static_cast<LabelId>((qa * nb + qb) * w + m);
+          int32_t target = intern({nh1, nh2, key.orbit | m});
           states[i].next.emplace(symbol, target);
-        } else {
-          bool child_marks = a.mark(qa) && b.mark(qb);
-          for (int m = 0; m < 2; ++m) {
-            // A child can only report met=m if its own state allows it;
-            // we conservatively enumerate both and rely on child states
-            // (qa, qb, m) being inhabited only when consistent.
-            if (m == 0 && child_marks) continue;  // children with both marks
-                                                  // always have met >= 1
-            LabelId symbol =
-                static_cast<LabelId>((qa * nb + qb) * 2 + m);
-            int32_t target = intern({nh1, nh2, key.orbit | m});
-            states[i].next.emplace(symbol, target);
-          }
         }
       }
     }
@@ -116,24 +101,28 @@ regex::Dfa ProductHorizontal(const regex::Dfa& ha, const regex::Dfa& hb,
   return regex::Dfa::FromStates(std::move(states), initial);
 }
 
-}  // namespace
-
-HedgeAutomaton Intersect(const HedgeAutomaton& a, const HedgeAutomaton& b) {
-  RTP_OBS_COUNT("automata.product.intersections");
+// The one product construction. State (qa, qb, m) is packed
+// (qa * nb + qb) * w + m. With w = 2, m is the criterion's met bit and a
+// state is marked iff m = 1; with w = 1, m is always 0 (met is not
+// tracked) and a state's mark is the conjunction of its components'.
+HedgeAutomaton Product(const HedgeAutomaton& a, const HedgeAutomaton& b,
+                       int w) {
   RTP_OBS_SCOPED_TIMER("automata.product.ns");
-  RTP_OBS_TRACE_SPAN("automata.Intersect");
   RTP_FAILPOINT("automata.product");
   int32_t na = a.NumStates();
   int32_t nb = b.NumStates();
   HedgeAutomaton out;
-  // The dense state numbering below requires all na*nb states, so the
+  // The dense state numbering below requires all na*nb*w states, so the
   // quota is charged up front: a huge product trips before allocating.
-  guard::AccountStates(static_cast<int64_t>(na) * nb);
+  guard::AccountStates(static_cast<int64_t>(na) * nb * w);
   if (!guard::Ok()) return out;
   for (StateId qa = 0; qa < na; ++qa) {
     for (StateId qb = 0; qb < nb; ++qb) {
-      StateId q = out.AddState(a.mark(qa) && b.mark(qb));
-      RTP_CHECK(q == qa * nb + qb);
+      for (int m = 0; m < w; ++m) {
+        bool mark = w == 1 ? a.mark(qa) && b.mark(qb) : m == 1;
+        StateId q = out.AddState(mark);
+        RTP_CHECK(q == (qa * nb + qb) * w + m);
+      }
     }
   }
   size_t guard_pruned = 0;
@@ -145,16 +134,20 @@ HedgeAutomaton Intersect(const HedgeAutomaton& a, const HedgeAutomaton& b) {
         ++guard_pruned;
         continue;
       }
-      regex::Dfa horizontal =
-          ProductHorizontal(ta.horizontal, tb.horizontal, na, nb,
-                            /*track_met=*/false, false, false, a, b);
-      out.AddTransition(std::move(*guard), std::move(horizontal),
-                        ta.target * nb + tb.target);
+      // A node whose own marks meet has met = 1: no m = 0 variant.
+      bool own_mark = a.mark(ta.target) && b.mark(tb.target);
+      for (int m = own_mark ? w - 1 : 0; m < w; ++m) {
+        regex::Dfa horizontal =
+            ProductHorizontal(ta.horizontal, tb.horizontal, na, nb, w,
+                              own_mark, m, a, b);
+        out.AddTransition(*guard, std::move(horizontal),
+                          (ta.target * nb + tb.target) * w + m);
+      }
     }
   }
   for (StateId ra : a.root_accepting()) {
     for (StateId rb : b.root_accepting()) {
-      out.AddRootAccepting(ra * nb + rb);
+      out.AddRootAccepting((ra * nb + rb) * w + w - 1);
     }
   }
   RTP_OBS_COUNT_N("automata.product.states_built", out.NumStates());
@@ -165,57 +158,18 @@ HedgeAutomaton Intersect(const HedgeAutomaton& a, const HedgeAutomaton& b) {
   return out;
 }
 
+}  // namespace
+
+HedgeAutomaton Intersect(const HedgeAutomaton& a, const HedgeAutomaton& b) {
+  RTP_OBS_COUNT("automata.product.intersections");
+  RTP_OBS_TRACE_SPAN("automata.Intersect");
+  return Product(a, b, /*w=*/1);
+}
+
 HedgeAutomaton MeetProduct(const HedgeAutomaton& a, const HedgeAutomaton& b) {
   RTP_OBS_COUNT("automata.product.meet_products");
-  RTP_OBS_SCOPED_TIMER("automata.product.ns");
   RTP_OBS_TRACE_SPAN("automata.MeetProduct");
-  RTP_FAILPOINT("automata.product");
-  int32_t na = a.NumStates();
-  int32_t nb = b.NumStates();
-  HedgeAutomaton out;
-  // As in Intersect: dense numbering needs the full na*nb*2 state block,
-  // so charge the quota before allocating it.
-  guard::AccountStates(static_cast<int64_t>(na) * nb * 2);
-  if (!guard::Ok()) return out;
-  for (StateId qa = 0; qa < na; ++qa) {
-    for (StateId qb = 0; qb < nb; ++qb) {
-      for (int m = 0; m < 2; ++m) {
-        StateId q = out.AddState(/*mark=*/m == 1);
-        RTP_CHECK(q == (qa * nb + qb) * 2 + m);
-      }
-    }
-  }
-  size_t guard_pruned = 0;
-  for (const auto& ta : a.transitions()) {
-    if (!guard::KeepGoing()) break;
-    for (const auto& tb : b.transitions()) {
-      std::optional<Guard> guard = Guard::Intersect(ta.guard, tb.guard);
-      if (!guard.has_value()) {
-        ++guard_pruned;
-        continue;
-      }
-      bool own_mark = a.mark(ta.target) && b.mark(tb.target);
-      for (int met = 0; met < 2; ++met) {
-        if (own_mark && met == 0) continue;  // unsatisfiable variant
-        regex::Dfa horizontal =
-            ProductHorizontal(ta.horizontal, tb.horizontal, na, nb,
-                              /*track_met=*/true, own_mark, met == 1, a, b);
-        out.AddTransition(*guard, std::move(horizontal),
-                          (ta.target * nb + tb.target) * 2 + met);
-      }
-    }
-  }
-  for (StateId ra : a.root_accepting()) {
-    for (StateId rb : b.root_accepting()) {
-      out.AddRootAccepting((ra * nb + rb) * 2 + 1);
-    }
-  }
-  RTP_OBS_COUNT_N("automata.product.states_built", out.NumStates());
-  RTP_OBS_COUNT_N("automata.product.transitions_built",
-                  out.transitions().size());
-  RTP_OBS_COUNT_N("automata.product.guard_pruned", guard_pruned);
-  RTP_OBS_HISTOGRAM_RECORD("automata.product.total_size", out.TotalSize());
-  return out;
+  return Product(a, b, /*w=*/2);
 }
 
 }  // namespace rtp::automata

@@ -1,5 +1,6 @@
 #include "independence/criterion.h"
 
+#include <memory>
 #include <set>
 
 #include "automata/pattern_compiler.h"
@@ -17,10 +18,10 @@ namespace rtp::independence {
 using automata::HedgeAutomaton;
 using automata::MarkMode;
 
-StatusOr<CriterionResult> CheckIndependence(
-    const fd::FunctionalDependency& fd, const update::UpdateClass& update,
-    const schema::Schema* schema, Alphabet* alphabet,
-    const CriterionOptions& options) {
+StatusOr<CriterionResult> CheckPatternIndependence(
+    const pattern::TreePattern& protected_pattern,
+    const update::UpdateClass& update, const schema::Schema* schema,
+    Alphabet* alphabet, const CriterionOptions& options) {
   RTP_OBS_COUNT("independence.criterion.checks");
   RTP_OBS_SCOPED_TIMER("independence.criterion.ns");
   RTP_OBS_TRACE_SPAN("independence.CheckIndependence");
@@ -37,31 +38,26 @@ StatusOr<CriterionResult> CheckIndependence(
   RTP_FAILPOINT("independence.criterion");
 
   // Compiled pattern automata, either freshly built or shared through the
-  // caller's AutomatonCache (the batch/matrix path compiles each FD and
-  // update class once instead of once per pair). Under an active guard the
-  // cache is bypassed: its build-once contract would permanently memoize
-  // an automaton whose construction a trip cut short.
-  std::shared_ptr<const HedgeAutomaton> fd_shared;
-  std::shared_ptr<const HedgeAutomaton> u_shared;
-  HedgeAutomaton fd_local;
-  HedgeAutomaton u_local;
+  // caller's AutomatonCache (the batch/matrix path compiles each pattern
+  // once instead of once per pair). Under an active guard the cache is
+  // bypassed: its build-once contract would permanently memoize an
+  // automaton whose construction a trip cut short.
+  auto compile = [&](const pattern::TreePattern& pattern, MarkMode mode) {
+    if (options.cache != nullptr && !guard::Active()) {
+      return options.cache->GetPatternAutomaton(pattern, *alphabet, mode);
+    }
+    return std::make_shared<const HedgeAutomaton>(
+        CompilePattern(pattern, mode));
+  };
+  std::shared_ptr<const HedgeAutomaton> protected_automaton;
+  std::shared_ptr<const HedgeAutomaton> u_automaton;
   {
     RTP_OBS_TRACE_SPAN("independence.compile_patterns");
-    if (options.cache != nullptr && !guard::Active()) {
-      fd_shared = options.cache->GetPatternAutomaton(
-          fd.pattern(), *alphabet, MarkMode::kTraceAndSelectedSubtrees);
-      u_shared = options.cache->GetPatternAutomaton(
-          update.pattern(), *alphabet, MarkMode::kSelectedImagesOnly);
-    } else {
-      fd_local =
-          CompilePattern(fd.pattern(), MarkMode::kTraceAndSelectedSubtrees);
-      u_local =
-          CompilePattern(update.pattern(), MarkMode::kSelectedImagesOnly);
-    }
+    protected_automaton =
+        compile(protected_pattern, MarkMode::kTraceAndSelectedSubtrees);
+    u_automaton = compile(update.pattern(), MarkMode::kSelectedImagesOnly);
   }
   RTP_RETURN_IF_ERROR(guard::CurrentStatus());
-  const HedgeAutomaton& fd_automaton = fd_shared ? *fd_shared : fd_local;
-  const HedgeAutomaton& u_automaton = u_shared ? *u_shared : u_local;
   HedgeAutomaton schema_automaton =
       schema != nullptr ? HedgeAutomaton() : HedgeAutomaton::Universal();
   const HedgeAutomaton& a_s =
@@ -71,14 +67,14 @@ StatusOr<CriterionResult> CheckIndependence(
   HedgeAutomaton l_automaton;
   {
     RTP_OBS_TRACE_SPAN("independence.build_product");
-    meet = automata::MeetProduct(fd_automaton, u_automaton);
+    meet = automata::MeetProduct(*protected_automaton, *u_automaton);
     l_automaton = automata::Intersect(meet, a_s);
   }
   RTP_RETURN_IF_ERROR(guard::CurrentStatus());
 
   CriterionResult result;
-  result.fd_automaton_size = fd_automaton.TotalSize();
-  result.u_automaton_size = u_automaton.TotalSize();
+  result.fd_automaton_size = protected_automaton->TotalSize();
+  result.u_automaton_size = u_automaton->TotalSize();
   result.schema_automaton_size = a_s.TotalSize();
   result.product_size = l_automaton.TotalSize();
   {
@@ -103,6 +99,14 @@ StatusOr<CriterionResult> CheckIndependence(
     }
   }
   return result;
+}
+
+StatusOr<CriterionResult> CheckIndependence(
+    const fd::FunctionalDependency& fd, const update::UpdateClass& update,
+    const schema::Schema* schema, Alphabet* alphabet,
+    const CriterionOptions& options) {
+  return CheckPatternIndependence(fd.pattern(), update, schema, alphabet,
+                                  options);
 }
 
 bool IsInCriterionLanguage(const xml::Document& doc,

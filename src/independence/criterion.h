@@ -5,8 +5,9 @@
 
 #include "automata/hedge_automaton.h"
 #include "common/status.h"
-#include "guard/guard.h"
 #include "fd/functional_dependency.h"
+#include "guard/guard.h"
+#include "pattern/tree_pattern.h"
 #include "schema/schema.h"
 #include "update/update_class.h"
 #include "xml/doc_index.h"
@@ -34,7 +35,7 @@ struct CriterionResult {
   std::optional<xml::Document> conflict_candidate;
 
   // Instrumentation for the Proposition 3 size/time claims.
-  int64_t fd_automaton_size = 0;
+  int64_t fd_automaton_size = 0;  // the protected (FD or view) pattern's
   int64_t u_automaton_size = 0;
   int64_t schema_automaton_size = 0;
   int64_t product_size = 0;  // |A| of the automaton recognizing L
@@ -58,10 +59,15 @@ struct CriterionOptions {
   guard::CancelToken* cancel = nullptr;
 };
 
-// Checks the independence criterion: builds the automaton for
-// L = valid(S) ∩ { D containing an FD trace and a U trace whose updated
-// node is on the FD trace or inside a condition/target subtree } as
-// Intersect(MeetProduct(A_FD, A_U), A_S) and tests its emptiness.
+// The criterion pipeline, stated over the pattern whose evaluation an
+// update must not disturb (the "protected" pattern: an FD's pattern, or a
+// view's). Builds the automaton for
+// L = valid(S) ∩ { D containing a protected-pattern trace and a U trace
+// whose updated node is on that trace or inside a selected subtree } as
+// Intersect(MeetProduct(A_P, A_U), A_S) and tests its emptiness. A_P marks
+// the trace and the selected subtrees
+// (MarkMode::kTraceAndSelectedSubtrees), A_U the updated nodes
+// (kSelectedImagesOnly). Honours every CriterionOptions field.
 //
 // `schema` may be null (no schema: A_S is the universal automaton).
 //
@@ -70,6 +76,13 @@ struct CriterionOptions {
 // holds. As in the paper, the criterion's soundness assumes updates
 // preserve the label of the updated node (an update "at" a node rewrites
 // its content, not its identity).
+StatusOr<CriterionResult> CheckPatternIndependence(
+    const pattern::TreePattern& protected_pattern,
+    const update::UpdateClass& update, const schema::Schema* schema,
+    Alphabet* alphabet, const CriterionOptions& options = {});
+
+// The criterion IC of Definition 6: CheckPatternIndependence on the FD's
+// pattern, whose selected nodes are its condition and target positions.
 StatusOr<CriterionResult> CheckIndependence(
     const fd::FunctionalDependency& fd, const update::UpdateClass& update,
     const schema::Schema* schema, Alphabet* alphabet,

@@ -7,7 +7,8 @@
 #include <deque>
 #include <map>
 #include <mutex>
-#include <sstream>
+
+#include "obs/exposition.h"
 
 namespace rtp::obs {
 
@@ -372,55 +373,7 @@ void MetricsRegistry::ResetAll() {
 }
 
 std::string MetricsRegistry::DumpJson() const {
-  const Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mu);
-  std::ostringstream out;
-  out << "{\"schema_version\":" << kDumpSchemaVersion << ",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : i->counter_names) {
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << internal::JsonEscape(name) << "\":" << c->value();
-  }
-  out << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : i->gauge_names) {
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << internal::JsonEscape(name) << "\":" << g->value();
-  }
-  out << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : i->histogram_names) {
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << internal::JsonEscape(name) << "\":{\"count\":" << h->count()
-        << ",\"sum\":" << h->sum() << ",\"min\":" << h->min()
-        << ",\"max\":" << h->max() << ",\"mean\":" << h->mean()
-        << ",\"p50\":" << h->ApproxQuantile(0.5)
-        << ",\"p99\":" << h->ApproxQuantile(0.99) << "}";
-  }
-  out << "}}";
-  return out.str();
-}
-
-std::string MetricsRegistry::DumpText() const {
-  const Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mu);
-  std::ostringstream out;
-  for (const auto& [name, c] : i->counter_names) {
-    out << name << " = " << c->value() << "\n";
-  }
-  for (const auto& [name, g] : i->gauge_names) {
-    out << name << " = " << g->value() << "\n";
-  }
-  for (const auto& [name, h] : i->histogram_names) {
-    out << name << ": count=" << h->count() << " sum=" << h->sum()
-        << " min=" << h->min() << " max=" << h->max() << " mean=" << h->mean()
-        << " p50=" << h->ApproxQuantile(0.5)
-        << " p99=" << h->ApproxQuantile(0.99) << "\n";
-  }
-  return out.str();
+  return SnapshotToJson(TakeSnapshot());
 }
 
 }  // namespace rtp::obs

@@ -15,8 +15,8 @@
 //      Metric objects live for the process lifetime (deque storage, never
 //      reallocated), so cached pointers stay valid forever.
 //   3. Everything is observable as structured data: DumpJson() for
-//      machines, DumpText() for humans, and obs/exposition.h for
-//      Prometheus text format and snapshot/delta dumps.
+//      machines, and obs/exposition.h for Prometheus text format and
+//      snapshot/delta dumps.
 //
 // Call-site idiom (the RTP_OBS_* macros below expand to exactly this):
 //
@@ -126,10 +126,6 @@ class Histogram {
   // Quantile (q in [0,1]) with linear interpolation inside the containing
   // log2 bucket, clamped to the observed [min, max] range.
   double Quantile(double q) const;
-  // Rounded Quantile (the JSON/text dump representation).
-  uint64_t ApproxQuantile(double q) const {
-    return static_cast<uint64_t>(Quantile(q) + 0.5);
-  }
   void Reset();
   uint32_t id() const { return id_; }
 
@@ -211,14 +207,14 @@ class MetricsRegistry {
   // cached call-site pointers stay valid). Test/bench infrastructure.
   void ResetAll();
 
-  // Structured exports; metrics appear sorted by name. JSON shape:
+  // SnapshotToJson(TakeSnapshot()) (obs/exposition.h); metrics appear
+  // sorted by name. JSON shape:
   //   {"schema_version":2,
   //    "counters":{"a.b":1,...},
   //    "gauges":{"g":2,...},
   //    "histograms":{"h":{"count":..,"sum":..,"min":..,"max":..,
   //                       "mean":..,"p50":..,"p99":..},...}}
   std::string DumpJson() const;
-  std::string DumpText() const;
 
  private:
   struct Impl;
@@ -229,9 +225,8 @@ class MetricsRegistry {
 // Shorthand for MetricsRegistry::Global().
 inline MetricsRegistry& Registry() { return MetricsRegistry::Global(); }
 
-// Process-wide dumps of every registered metric.
+// Process-wide dump of every registered metric.
 inline std::string DumpJson() { return Registry().DumpJson(); }
-inline std::string DumpText() { return Registry().DumpText(); }
 
 }  // namespace rtp::obs
 

@@ -31,28 +31,6 @@ int64_t MonotonicNowNs() {
       .count();
 }
 
-// Minimal JSON string escaping; span names are call-site literals, so only
-// the characters a reasonable literal could contain need handling.
-std::string EscapeJson(const char* s) {
-  std::string out;
-  for (const char* p = s; *p; ++p) {
-    switch (*p) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += *p;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 TraceSession::~TraceSession() {
@@ -110,8 +88,8 @@ std::string TraceSession::ExportChromeTracing() const {
   for (size_t i = 0; i < spans_.size(); ++i) {
     const Span& s = spans_[i];
     if (i) out << ",";
-    out << "\n{\"name\":\"" << EscapeJson(s.name) << "\",\"ph\":\"X\",\"ts\":"
-        << s.start_us << ",\"dur\":" << s.dur_us
+    out << "\n{\"name\":\"" << internal::JsonEscape(s.name)
+        << "\",\"ph\":\"X\",\"ts\":" << s.start_us << ",\"dur\":" << s.dur_us
         << ",\"pid\":1,\"tid\":" << s.tid << ",\"args\":{\"depth\":"
         << s.depth << "}}";
   }

@@ -1,13 +1,8 @@
 #include "view/view.h"
 
-#include "automata/pattern_compiler.h"
-#include "automata/product.h"
 #include "pattern/evaluator.h"
 
 namespace rtp::view {
-
-using automata::HedgeAutomaton;
-using automata::MarkMode;
 
 StatusOr<View> View::Create(pattern::TreePattern pattern) {
   RTP_RETURN_IF_ERROR(pattern.Validate());
@@ -38,36 +33,8 @@ StatusOr<independence::CriterionResult> CheckViewIndependence(
     const View& view, const update::UpdateClass& update,
     const schema::Schema* schema, Alphabet* alphabet,
     const independence::CriterionOptions& options) {
-  if (!update.SelectedAreLeaves()) {
-    return InvalidArgumentError(
-        "the view-independence criterion requires every selected node of "
-        "the update class to be a leaf of its template");
-  }
-  HedgeAutomaton view_automaton =
-      CompilePattern(view.pattern(), MarkMode::kTraceAndSelectedSubtrees);
-  HedgeAutomaton u_automaton =
-      CompilePattern(update.pattern(), MarkMode::kSelectedImagesOnly);
-  HedgeAutomaton universal;
-  const HedgeAutomaton& a_s =
-      schema != nullptr ? schema->automaton()
-                        : (universal = HedgeAutomaton::Universal());
-
-  HedgeAutomaton meet = automata::MeetProduct(view_automaton, u_automaton);
-  HedgeAutomaton l_automaton = automata::Intersect(meet, a_s);
-
-  independence::CriterionResult result;
-  result.fd_automaton_size = view_automaton.TotalSize();
-  result.u_automaton_size = u_automaton.TotalSize();
-  result.schema_automaton_size = a_s.TotalSize();
-  result.product_size = l_automaton.TotalSize();
-  result.independent = l_automaton.IsEmptyLanguage();
-  if (!result.independent && options.want_conflict_candidate) {
-    auto witness = l_automaton.FindWitnessDocument(alphabet);
-    if (witness.ok()) {
-      result.conflict_candidate = std::move(witness).value();
-    }
-  }
-  return result;
+  return independence::CheckPatternIndependence(view.pattern(), update,
+                                                schema, alphabet, options);
 }
 
 }  // namespace rtp::view

@@ -40,7 +40,10 @@ class View {
 // Sufficient criterion for view-update independence: empty L where L is
 // the set of schema-valid documents containing a view trace and a U trace
 // whose updated node lies on the view trace or inside a selected subtree.
-// Preconditions mirror CheckIndependence (leaf-selected update class).
+// It is independence::CheckPatternIndependence on the view's pattern, so
+// it has the same preconditions as CheckIndependence (leaf-selected
+// update class) and honours every CriterionOptions field: the conflict
+// candidate, the compile cache, the budget and the cancel token.
 StatusOr<independence::CriterionResult> CheckViewIndependence(
     const View& view, const update::UpdateClass& update,
     const schema::Schema* schema, Alphabet* alphabet,

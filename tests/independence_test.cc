@@ -9,6 +9,7 @@
 #include "workload/exam_generator.h"
 #include "workload/exam_schema.h"
 #include "workload/paper_patterns.h"
+#include "xml/xml_io.h"
 
 namespace rtp::independence {
 namespace {
@@ -253,6 +254,64 @@ TEST_F(IndependenceTest, CriterionLanguageMembershipOnGeneratedDocs) {
   }
   // fd3 traces exist in most documents and U touches their levels.
   EXPECT_GT(in_language, 0);
+}
+
+// --- Pins on the criterion's automata. ---
+//
+// The product construction and the root-witness search are shared by the
+// FD and view checks; these pins hold the exact shape of L's automaton
+// and the exact conflict candidate, so a refactor of either step that
+// changes state numbering, transition order or the search order fails
+// here even when every verdict survives. Each test builds its own
+// alphabet: the witness's representative labels depend on what else the
+// alphabet interned.
+
+struct PaperFdPin {
+  const char* name;
+  pattern::ParsedPattern (*build)(Alphabet*);
+  bool independent;
+  int64_t product_size;
+};
+
+TEST(CriterionPinTest, PaperFdsUnderUpdateUKeepTheirProductSizes) {
+  Alphabet alphabet;
+  schema::Schema schema = workload::BuildExamSchema(&alphabet);
+  update::UpdateClass u = MustUpdate(workload::PaperUpdateU(&alphabet));
+  const PaperFdPin pins[] = {
+      {"fd1", workload::PaperFd1, true, 22316},
+      {"fd2", workload::PaperFd2, true, 20780},
+      {"fd3", workload::PaperFd3, false, 24752},
+      {"fd4", workload::PaperFd4, false, 28624},
+      {"fd5", workload::PaperFd5, true, 17256},
+  };
+  for (const PaperFdPin& pin : pins) {
+    fd::FunctionalDependency fd = MustFd(pin.build(&alphabet));
+    auto result = CheckIndependence(fd, u, &schema, &alphabet);
+    ASSERT_TRUE(result.ok()) << pin.name << ": " << result.status().ToString();
+    EXPECT_EQ(result->independent, pin.independent) << pin.name;
+    EXPECT_EQ(result->product_size, pin.product_size) << pin.name;
+  }
+}
+
+TEST(CriterionPinTest, Fd3ConflictCandidateKeepsItsBytes) {
+  Alphabet alphabet;
+  schema::Schema schema = workload::BuildExamSchema(&alphabet);
+  update::UpdateClass u = MustUpdate(workload::PaperUpdateU(&alphabet));
+  fd::FunctionalDependency fd3 = MustFd(workload::PaperFd3(&alphabet));
+  CriterionOptions options;
+  options.want_conflict_candidate = true;
+  auto result = CheckIndependence(fd3, u, &schema, &alphabet, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result->conflict_candidate.has_value());
+  EXPECT_EQ(xml::WriteXml(*result->conflict_candidate, /*indent=*/false),
+            "<session><candidate IDN=\"w\">"
+            "<exam><discipline>w</discipline><date>w</date><mark>w</mark>"
+            "<rank>w</rank></exam>"
+            "<exam><discipline>w</discipline><date>w</date><mark>w</mark>"
+            "<rank>w</rank></exam>"
+            "<level>w</level>"
+            "<toBePassed><discipline>w</discipline></toBePassed>"
+            "</candidate></session>");
 }
 
 }  // namespace

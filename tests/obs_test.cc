@@ -103,13 +103,13 @@ TEST(HistogramTest, QuantilesAreOrderedAndBounded) {
   Histogram* h = Registry().FindOrCreateHistogram("obstest.hist.quantiles");
   h->Reset();
   for (uint64_t v = 1; v <= 1000; ++v) h->Record(v);
-  uint64_t p50 = h->ApproxQuantile(0.5);
-  uint64_t p99 = h->ApproxQuantile(0.99);
+  double p50 = h->Quantile(0.5);
+  double p99 = h->Quantile(0.99);
   EXPECT_LE(p50, p99);
-  EXPECT_GT(p50, 0u);
+  EXPECT_GT(p50, 0.0);
   // Log2 buckets are coarse; just require the right order of magnitude.
-  EXPECT_LE(p99, 2048u);
-  EXPECT_GE(p99, 256u);
+  EXPECT_LE(p99, 2048.0);
+  EXPECT_GE(p99, 256.0);
 }
 
 TEST(HistogramTest, QuantileInterpolatesWithinBucket) {
@@ -126,7 +126,6 @@ TEST(HistogramTest, QuantileInterpolatesWithinBucket) {
   // The extremes clamp to the observed [min, max] range.
   EXPECT_DOUBLE_EQ(h->Quantile(0.0), 1.0);
   EXPECT_DOUBLE_EQ(h->Quantile(1.0), 1000.0);
-  EXPECT_EQ(h->ApproxQuantile(1.0), 1000u);
 }
 
 TEST(HistogramTest, QuantileOfSingleSampleIsTheSample) {
@@ -270,11 +269,6 @@ TEST(DumpTest, JsonHasStableShapeAndSortedKeys) {
 
   // Dumping twice with no metric activity in between is byte-identical.
   EXPECT_EQ(json, DumpJson());
-
-  // Text dump mentions the same metrics.
-  std::string text = DumpText();
-  EXPECT_NE(text.find("obstest.aa.counter"), std::string::npos);
-  EXPECT_NE(text.find("obstest.zz.hist"), std::string::npos);
 }
 
 TEST(DumpTest, JsonCarriesSchemaVersion) {

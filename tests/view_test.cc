@@ -148,6 +148,50 @@ TEST(ViewTest, ProvenIndependenceHoldsOnConcreteUpdates) {
   EXPECT_TRUE(xml::ValueEqual(before, before.root(), after, after.root()));
 }
 
+// The view check runs the same pipeline as CheckIndependence, so it
+// honours the budget and the cancel token of its CriterionOptions.
+TEST(ViewTest, IndependenceObeysStateBudget) {
+  Alphabet alphabet;
+  schema::Schema schema = workload::BuildExamSchema(&alphabet);
+  View ranks = MustView(&alphabet, R"(
+    root { s = session/candidate/exam/rank; }
+    select s;
+  )");
+  update::UpdateClass levels = MustUpdate(&alphabet, R"(
+    root { s = session/candidate/level; }
+    select s;
+  )");
+  independence::CriterionOptions options;
+  options.budget.max_automaton_states = 10;
+  auto result =
+      CheckViewIndependence(ranks, levels, &schema, &alphabet, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+      << result.status().ToString();
+}
+
+TEST(ViewTest, IndependenceObeysCancelToken) {
+  Alphabet alphabet;
+  schema::Schema schema = workload::BuildExamSchema(&alphabet);
+  View ranks = MustView(&alphabet, R"(
+    root { s = session/candidate/exam/rank; }
+    select s;
+  )");
+  update::UpdateClass levels = MustUpdate(&alphabet, R"(
+    root { s = session/candidate/level; }
+    select s;
+  )");
+  guard::CancelToken cancel;
+  cancel.Cancel();
+  independence::CriterionOptions options;
+  options.cancel = &cancel;
+  auto result =
+      CheckViewIndependence(ranks, levels, &schema, &alphabet, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+      << result.status().ToString();
+}
+
 TEST(ViewTest, NonLeafUpdateSelectionRejected) {
   Alphabet alphabet;
   View ranks = MustView(&alphabet, "root { s = a; } select s;");
