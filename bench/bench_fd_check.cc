@@ -84,7 +84,7 @@ void BM_CheckFd1BatchJobs(benchmark::State& state) {
   }
   std::vector<const xml::Document*> ptrs;
   for (const auto& doc : docs) ptrs.push_back(&doc);
-  fd::BatchCheckOptions options;
+  exec::BatchOptions options;
   options.jobs = static_cast<int>(state.range(0));
   size_t satisfied = 0;
   for (auto _ : state) {

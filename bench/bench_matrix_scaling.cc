@@ -113,11 +113,9 @@ void RunMatrixBenchmark(benchmark::State& state, MatrixWorkload* w,
     // A fresh cache per iteration: the measured win is intra-matrix
     // sharing across pairs, not warm-start between iterations.
     exec::AutomatonCache cache;
-    independence::MatrixOptions options;
-    options.jobs = jobs;
-    options.cache = cached ? &cache : nullptr;
     auto matrix = independence::ComputeIndependenceMatrix(
-        fd_ptrs, class_ptrs, &*w->schema, &w->alphabet, options);
+        fd_ptrs, class_ptrs, &*w->schema, &w->alphabet, {.jobs = jobs},
+        cached ? &cache : nullptr);
     RTP_CHECK_MSG(matrix.ok(), matrix.status().ToString().c_str());
     pairs = matrix->entries.size();
     independent = matrix->IndependentFraction();

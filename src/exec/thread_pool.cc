@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <optional>
 
 #include "common/check.h"
 #include "obs/log.h"
@@ -232,6 +233,34 @@ void ParallelFor(ThreadPool* pool, size_t n,
                      [&] { return state->completed == state->num_chunks; });
     if (state->error != nullptr) std::rethrow_exception(state->error);
   }
+}
+
+std::vector<Status> RunBatch(
+    size_t n, const BatchOptions& options,
+    const std::function<void(size_t, obs::QueryProfile*)>& fn) {
+  ThreadPool* pool = options.pool;
+  std::optional<ThreadPool> owned_pool;
+  if (pool == nullptr && options.jobs > 1) {
+    owned_pool.emplace(options.jobs);
+    pool = &*owned_pool;
+  }
+  if (options.profiles != nullptr) {
+    options.profiles->assign(n, obs::QueryProfile());
+  }
+  std::vector<Status> statuses(n);
+  ParallelFor(pool, n, [&](size_t i) {
+    // Skipping pre-cancelled items lets a cancelled batch drain quickly.
+    if (options.cancel != nullptr && options.cancel->cancelled()) {
+      statuses[i] = CancelledError("cancelled before the item started");
+      return;
+    }
+    // Pool workers do not inherit the caller's thread-local guard; each
+    // item gets its own context so one runaway item trips alone.
+    guard::OptionalGuardScope scope(options.budget, options.cancel);
+    fn(i, options.profiles == nullptr ? nullptr : &(*options.profiles)[i]);
+    statuses[i] = guard::CurrentStatus();
+  });
+  return statuses;
 }
 
 }  // namespace rtp::exec

@@ -29,10 +29,10 @@
 //
 // Determinism contract: the pool schedules tasks in an unspecified order.
 // Every parallel algorithm built on top of it (matrix, CheckFdBatch,
-// EvaluateSelectedBatch) writes results into per-task slots fixed before
-// submission, so results are bit-identical for any job count — including
-// jobs=1, which runs tasks inline on the calling thread without touching
-// the pool at all.
+// EvaluateSelectedBatch, all through RunBatch) writes results into
+// per-task slots fixed before submission, so results are bit-identical for
+// any job count — including jobs=1, which runs tasks inline on the calling
+// thread without touching the pool at all.
 
 #include <condition_variable>
 #include <cstddef>
@@ -42,6 +42,10 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "common/status.h"
+#include "guard/guard.h"
+#include "obs/profile.h"
 
 namespace rtp::exec {
 
@@ -132,6 +136,36 @@ class ThreadPool {
 // selection regardless of schedule).
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& fn);
+
+// How a batch of independent work items runs: where, under which per-item
+// budget, and whether each item is profiled.
+struct BatchOptions {
+  // <= 1 runs serially on the calling thread, in item order (the reference
+  // path). A non-null `pool` is used as-is and `jobs` is ignored.
+  int jobs = 1;
+  ThreadPool* pool = nullptr;
+  // Per item: each item runs under its own GuardContext (deadline measured
+  // from the item's start), so one pathological item trips alone while the
+  // rest complete. The cancel token is shared: cancelling drains the whole
+  // batch quickly. Unlimited with no token installs no guard at all.
+  guard::ExecutionBudget budget{};
+  guard::CancelToken* cancel = nullptr;
+  // When non-null, resized to the item count; slot i receives item i's
+  // QueryProfile, captured on the thread that ran it.
+  std::vector<obs::QueryProfile>* profiles = nullptr;
+};
+
+// Runs fn(i, profile_slot) for i in [0, n) — the one per-item contract of
+// every batch API. Item i, in order: if the cancel token has already fired
+// it is skipped and gets CANCELLED; otherwise it runs inside
+// guard::OptionalGuardScope(budget, cancel), receives its profile slot
+// (nullptr without `profiles`), and gets guard::CurrentStatus() as its
+// status. `fn` opens the ProfileScope itself, inside that guard, so the
+// profile reports the item's budget consumption. Returns the per-item
+// statuses, indexed like the items.
+std::vector<Status> RunBatch(
+    size_t n, const BatchOptions& options,
+    const std::function<void(size_t, obs::QueryProfile*)>& fn);
 
 }  // namespace rtp::exec
 

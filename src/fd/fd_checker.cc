@@ -138,11 +138,8 @@ CheckResult CheckFdImpl(const FunctionalDependency& fd,
 
 CheckResult CheckFd(const FunctionalDependency& fd, const Document& doc,
                     const CheckOptions& options) {
-  // The scope must wrap MatchTables::Build too — table construction, not
-  // enumeration, is where large documents spend their budget. The
-  // ProfileScope sits inside the guard scope so the profile can read the
-  // budget consumption and trip status at close.
-  guard::OptionalGuardScope scope(options.budget, options.cancel);
+  // The profile covers MatchTables::Build too — table construction, not
+  // enumeration, is where large documents spend their budget.
   obs::ProfileScope prof("fd.CheckFd", options.profile);
   CheckResult result = CheckFdImpl(
       fd, pattern::MatchTables::Build(fd.pattern(), doc), options);
@@ -152,7 +149,6 @@ CheckResult CheckFd(const FunctionalDependency& fd, const Document& doc,
 
 CheckResult CheckFd(const FunctionalDependency& fd,
                     const xml::DocIndex& index, const CheckOptions& options) {
-  guard::OptionalGuardScope scope(options.budget, options.cancel);
   obs::ProfileScope prof("fd.CheckFd", options.profile);
   CheckResult result = CheckFdImpl(
       fd, pattern::MatchTables::Build(fd.pattern(), index), options);
@@ -163,32 +159,19 @@ CheckResult CheckFd(const FunctionalDependency& fd,
 std::vector<CheckResult> CheckFdBatch(
     const FunctionalDependency& fd,
     const std::vector<const xml::Document*>& docs,
-    const BatchCheckOptions& options) {
+    const exec::BatchOptions& options, const CheckOptions& check) {
   RTP_OBS_COUNT("fd.check.batches");
   RTP_OBS_SCOPED_TIMER("fd.check.batch_ns");
-  exec::ThreadPool* pool = options.pool;
-  std::optional<exec::ThreadPool> owned_pool;
-  if (pool == nullptr && options.jobs > 1) {
-    owned_pool.emplace(options.jobs);
-    pool = &*owned_pool;
-  }
-  if (options.profiles != nullptr) {
-    options.profiles->assign(docs.size(), obs::QueryProfile());
-  }
   std::vector<CheckResult> results(docs.size());
-  exec::ParallelFor(pool, docs.size(), [&](size_t i) {
-    // Pre-cancelled items skip the work entirely so a cancelled batch
-    // drains the pool quickly; CheckFd installs the per-document guard.
-    if (options.check.cancel != nullptr && options.check.cancel->cancelled()) {
-      results[i].status = CancelledError("cancelled before check");
-      return;
-    }
-    CheckOptions item_options = options.check;
-    if (options.profiles != nullptr) {
-      item_options.profile = &(*options.profiles)[i];
-    }
-    results[i] = CheckFd(fd, *docs[i], item_options);
-  });
+  std::vector<Status> statuses = exec::RunBatch(
+      docs.size(), options, [&](size_t i, obs::QueryProfile* profile) {
+        CheckOptions item = check;
+        item.profile = profile;
+        results[i] = CheckFd(fd, *docs[i], item);
+      });
+  for (size_t i = 0; i < docs.size(); ++i) {
+    results[i].status = std::move(statuses[i]);
+  }
   return results;
 }
 

@@ -7,7 +7,6 @@
 
 #include "exec/thread_pool.h"
 #include "fd/functional_dependency.h"
-#include "guard/guard.h"
 #include "obs/profile.h"
 #include "pattern/evaluator.h"
 #include "xml/doc_index.h"
@@ -41,11 +40,6 @@ struct CheckResult {
 struct CheckOptions {
   // Stop at the first violation (default) or keep counting mappings.
   bool stop_at_first_violation = true;
-  // When limited (or `cancel` is set) the check runs under a GuardContext
-  // covering table construction and enumeration; a trip lands in
-  // CheckResult::status. In CheckFdBatch the budget applies per document.
-  guard::ExecutionBudget budget;
-  guard::CancelToken* cancel = nullptr;
   // When non-null, the check runs under an obs::ProfileScope and fills
   // the profile with phases (pattern.build_tables / fd.group_and_compare),
   // metric deltas, and guard-budget consumption.
@@ -56,6 +50,11 @@ struct CheckOptions {
 // mappings of the FD pattern, grouping them by (context image, condition
 // keys) and testing target agreement within each group. Value comparisons
 // use subtree hashing with exact ValueEqual confirmation.
+//
+// Budgets are ambient: the check — table construction included — runs
+// under whatever guard the caller installed on this thread (a
+// guard::ScopedGuard or OptionalGuardScope), and a trip lands in
+// CheckResult::status.
 CheckResult CheckFd(const FunctionalDependency& fd, const xml::Document& doc,
                     const CheckOptions& options = {});
 
@@ -67,18 +66,10 @@ CheckResult CheckFd(const FunctionalDependency& fd,
                     const xml::DocIndex& index,
                     const CheckOptions& options = {});
 
-struct BatchCheckOptions {
-  CheckOptions check;
-  // <= 1: serial, in document order (the reference path). When `pool` is
-  // set it is used as-is and `jobs` is ignored.
-  int jobs = 1;
-  exec::ThreadPool* pool = nullptr;
-  // When non-null, resized to docs.size(); slot i receives document i's
-  // QueryProfile (overrides check.profile, which applies per item).
-  std::vector<obs::QueryProfile>* profiles = nullptr;
-};
-
-// Checks one FD against many documents, one task per document. Results
+// Checks one FD against many documents, one exec::RunBatch item per
+// document (jobs, pool, per-document budget, shared cancel token and
+// per-document profiles as in exec::BatchOptions; `check.profile` is
+// ignored). Each item's status lands in its CheckResult::status. Results
 // are indexed like `docs` and are bit-identical to calling CheckFd on each
 // document serially, for every jobs value.
 //
@@ -88,7 +79,7 @@ struct BatchCheckOptions {
 std::vector<CheckResult> CheckFdBatch(
     const FunctionalDependency& fd,
     const std::vector<const xml::Document*>& docs,
-    const BatchCheckOptions& options = {});
+    const exec::BatchOptions& options, const CheckOptions& check = {});
 
 }  // namespace rtp::fd
 

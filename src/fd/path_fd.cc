@@ -140,9 +140,7 @@ regex::Regex WordRegex(Alphabet* alphabet,
   for (const std::string& label : word) {
     parts.push_back(regex::Sym(alphabet->Intern(label)));
   }
-  regex::Regex edge = regex::Regex::FromAst(regex::Cat(std::move(parts)));
-  edge.EnsureMinimalDfa();
-  return edge;
+  return regex::Regex::FromAst(regex::Cat(std::move(parts)));
 }
 
 // Emits the (chain-compressed) trie below `node` under pattern node

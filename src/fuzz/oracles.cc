@@ -92,7 +92,7 @@ Status CheckEvalParallelVsSerial(const pattern::TreePattern& pattern,
     serial.push_back(pattern::EvaluateSelected(pattern, *doc));
   }
   std::vector<std::vector<std::vector<xml::NodeId>>> parallel =
-      pattern::EvaluateSelectedBatch(pattern, docs, jobs);
+      pattern::EvaluateSelectedBatch(pattern, docs, {.jobs = jobs});
   if (parallel != serial) {
     // Pool workers do not inherit this thread's guard: a trip makes the
     // serial side partial while the batch side completed. Not a mismatch.
@@ -108,9 +108,8 @@ Status CheckEvalParallelVsSerial(const pattern::TreePattern& pattern,
 Status CheckFdParallelVsSerial(const fd::FunctionalDependency& fd,
                                const std::vector<const xml::Document*>& docs,
                                int jobs) {
-  fd::BatchCheckOptions options;
-  options.jobs = jobs;
-  std::vector<fd::CheckResult> parallel = fd::CheckFdBatch(fd, docs, options);
+  std::vector<fd::CheckResult> parallel =
+      fd::CheckFdBatch(fd, docs, {.jobs = jobs});
   for (size_t i = 0; i < docs.size(); ++i) {
     std::string serial = FdCheckFingerprint(fd::CheckFd(fd, *docs[i]));
     std::string batch = FdCheckFingerprint(parallel[i]);

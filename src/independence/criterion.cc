@@ -31,10 +31,8 @@ StatusOr<CriterionResult> CheckPatternIndependence(
         "be a leaf of its template (Section 5)");
   }
 
-  // The scope covers compilation, products and emptiness. Structural
-  // validation above is O(pattern) and stays outside so it keeps its
-  // InvalidArgument code even on a pre-cancelled token.
-  guard::OptionalGuardScope guard_scope(options.budget, options.cancel);
+  // Structural validation above is O(pattern) and polls no guard, so it
+  // keeps its InvalidArgument code even on a pre-cancelled token.
   RTP_FAILPOINT("independence.criterion");
 
   // Compiled pattern automata, either freshly built or shared through the

@@ -6,7 +6,6 @@
 #include "automata/hedge_automaton.h"
 #include "common/status.h"
 #include "fd/functional_dependency.h"
-#include "guard/guard.h"
 #include "pattern/tree_pattern.h"
 #include "schema/schema.h"
 #include "update/update_class.h"
@@ -51,12 +50,6 @@ struct CriterionOptions {
   // docs/PARALLELISM.md. Ignored while a guard is active — the cache's
   // build-once contract must never memoize a partially built automaton.
   exec::AutomatonCache* cache = nullptr;
-
-  // When limited (or `cancel` is set) the whole check — pattern
-  // compilation, products, emptiness — runs under a GuardContext; a trip
-  // surfaces as the StatusOr's error (one of the three resource codes).
-  guard::ExecutionBudget budget;
-  guard::CancelToken* cancel = nullptr;
 };
 
 // The criterion pipeline, stated over the pattern whose evaluation an
@@ -68,6 +61,11 @@ struct CriterionOptions {
 // the trace and the selected subtrees
 // (MarkMode::kTraceAndSelectedSubtrees), A_U the updated nodes
 // (kSelectedImagesOnly). Honours every CriterionOptions field.
+//
+// Budgets are ambient: compilation, products and emptiness run under
+// whatever guard the caller installed on this thread (a guard::ScopedGuard
+// or OptionalGuardScope, or exec::RunBatch per matrix cell), and a trip
+// surfaces as the StatusOr's error (one of the three resource codes).
 //
 // `schema` may be null (no schema: A_S is the universal automaton).
 //

@@ -4,6 +4,7 @@
 #include <random>
 
 #include "fd/fd_checker.h"
+#include "guard/guard.h"
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 #include "obs/trace.h"
@@ -93,9 +94,6 @@ ImpactSearchResult SearchForImpact(const fd::FunctionalDependency& fd,
   RTP_OBS_TRACE_SPAN("independence.SearchForImpact");
   ImpactSearchResult result;
   std::mt19937_64 rng(params.seed);
-  // One scope for the whole search: the inner CheckFd / SelectNodes calls
-  // run under this thread-local guard rather than per-call budgets.
-  guard::OptionalGuardScope guard_scope(params.budget, params.cancel);
 
   for (int d = 0; d < params.num_documents; ++d) {
     if (!guard::KeepGoing()) break;

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "fd/functional_dependency.h"
-#include "guard/guard.h"
 #include "schema/schema.h"
 #include "update/update_class.h"
 #include "workload/random_document.h"
@@ -25,11 +24,6 @@ struct ImpactSearchParams {
   int updates_per_document = 8;
   uint64_t seed = 7;
   workload::RandomDocumentParams document_params;
-  // When limited (or `cancel` is set) the whole search runs under one
-  // GuardContext; a trip stops the document/update loops and lands in
-  // ImpactSearchResult::status.
-  guard::ExecutionBudget budget;
-  guard::CancelToken* cancel = nullptr;
 };
 
 struct ImpactWitness {
@@ -52,7 +46,10 @@ struct ImpactSearchResult {
 };
 
 // `schema` must be non-null: documents are drawn from it. Documents where
-// the update class selects nothing contribute no update trials.
+// the update class selects nothing contribute no update trials. The
+// search runs under the guard the caller installed on this thread, if any:
+// a trip stops the document/update loops and lands in
+// ImpactSearchResult::status.
 ImpactSearchResult SearchForImpact(const fd::FunctionalDependency& fd,
                                    const update::UpdateClass& update,
                                    const schema::Schema& schema,

@@ -76,96 +76,74 @@ StatusOr<IndependenceMatrix> ComputeIndependenceMatrix(
     const std::vector<const fd::FunctionalDependency*>& fds,
     const std::vector<const update::UpdateClass*>& classes,
     const schema::Schema* schema, Alphabet* alphabet,
-    const MatrixOptions& options) {
+    const exec::BatchOptions& options, exec::AutomatonCache* cache) {
   RTP_OBS_SCOPED_TIMER("independence.matrix.ns");
   IndependenceMatrix matrix;
   matrix.num_fds = fds.size();
   matrix.num_classes = classes.size();
   size_t num_pairs = fds.size() * classes.size();
   matrix.entries.resize(num_pairs);
-  if (options.profiles != nullptr) {
-    options.profiles->assign(num_pairs, obs::QueryProfile());
-  }
 
   // Warm the compile cache serially so the shared FD / update automata are
   // built exactly once instead of racing (each would still build once
   // under the cache's build-once contract, but late pairs would block on
-  // the winner instead of doing useful work).
-  CriterionOptions pair_options;
-  pair_options.cache = options.cache;
-  pair_options.budget = options.budget;
-  pair_options.cancel = options.cancel;
+  // the winner instead of doing useful work). The criterion bypasses the
+  // cache under a guard, so a guarded batch skips the phase entirely.
   const bool guarded = options.budget.Limited() || options.cancel != nullptr;
-  // The criterion bypasses the cache under a guard, so warming it would be
-  // unguarded work for nothing — skip the phase entirely.
-  if (options.cache != nullptr && !guarded) {
+  if (cache != nullptr && !guarded) {
     for (const fd::FunctionalDependency* fd : fds) {
-      options.cache->GetPatternAutomaton(
-          fd->pattern(), *alphabet,
-          automata::MarkMode::kTraceAndSelectedSubtrees);
+      cache->GetPatternAutomaton(fd->pattern(), *alphabet,
+                                 automata::MarkMode::kTraceAndSelectedSubtrees);
     }
     for (const update::UpdateClass* cls : classes) {
-      options.cache->GetPatternAutomaton(
-          cls->pattern(), *alphabet,
-          automata::MarkMode::kSelectedImagesOnly);
+      cache->GetPatternAutomaton(cls->pattern(), *alphabet,
+                                 automata::MarkMode::kSelectedImagesOnly);
     }
   }
 
-  exec::ThreadPool* pool = options.pool;
-  std::optional<exec::ThreadPool> owned_pool;
-  if (pool == nullptr && options.jobs > 1) {
-    owned_pool.emplace(options.jobs);
-    pool = &*owned_pool;
+  // One item per (fd, class) pair, each writing its pre-assigned row-major
+  // slot; structural errors are merged afterwards in pair order, so the
+  // verdicts and the reported error do not depend on the schedule.
+  CriterionOptions pair_options;
+  pair_options.cache = cache;
+  std::vector<Status> errors(num_pairs);
+  std::vector<Status> statuses = exec::RunBatch(
+      num_pairs, options, [&](size_t pair, obs::QueryProfile* profile) {
+        size_t f = pair / classes.size();
+        size_t c = pair % classes.size();
+        std::optional<StatusOr<CriterionResult>> result;
+        {
+          obs::ProfileScope prof(PairOp(f, c), profile);
+          result.emplace(CheckIndependence(*fds[f], *classes[c], schema,
+                                           alphabet, pair_options));
+        }
+        // The profile closed with the guard's status; a structural error
+        // is the cell's outcome too.
+        if (profile != nullptr) profile->status = result->status().ToString();
+        if (result->ok()) {
+          matrix.entries[pair] =
+              MatrixEntry{f, c, (*result)->independent,
+                          (*result)->product_size, Status::OK()};
+        } else if (!guard::IsResourceStatus(result->status())) {
+          errors[pair] = result->status();
+        }
+      });
+  for (Status& error : errors) {
+    if (!error.ok()) return std::move(error);
   }
-
-  // One task per (fd, class) pair, each writing its pre-assigned row-major
-  // slot; statuses are merged afterwards in pair order, so the verdicts
-  // and the reported error do not depend on the schedule.
-  std::vector<Status> statuses(num_pairs);
-  exec::ParallelFor(pool, num_pairs, [&](size_t pair) {
+  for (size_t pair = 0; pair < num_pairs; ++pair) {
+    if (statuses[pair].ok()) continue;
+    // Per-cell degradation: a budget trip (or a cancelled, skipped pair)
+    // is not a matrix failure. independent=false is the conservative
+    // verdict: the FD is rechecked on updates of the class.
     size_t f = pair / classes.size();
     size_t c = pair % classes.size();
-    obs::QueryProfile* cell_profile =
-        options.profiles == nullptr ? nullptr : &(*options.profiles)[pair];
-    // A cancelled matrix drains its remaining pairs without running the
-    // criterion; each pair still gets a deterministic per-cell status.
-    if (options.cancel != nullptr && options.cancel->cancelled()) {
-      Status cancelled = CancelledError("cancelled before pair check");
-      if (cell_profile != nullptr) {
-        cell_profile->op = PairOp(f, c);
-        cell_profile->status = cancelled.ToString();
-      }
-      matrix.entries[pair] =
-          MatrixEntry{f, c, false, 0, std::move(cancelled)};
-      return;
+    matrix.entries[pair] = MatrixEntry{f, c, false, 0, statuses[pair]};
+    if (options.profiles != nullptr) {
+      obs::QueryProfile& profile = (*options.profiles)[pair];
+      profile.op = PairOp(f, c);
+      profile.status = statuses[pair].ToString();
     }
-    std::optional<StatusOr<CriterionResult>> result;
-    {
-      // The criterion installs its own guard (per pair_options), inside
-      // this scope — so the captured spans/deltas cover the whole cell,
-      // while the status is patched in below from the cell's outcome.
-      obs::ProfileScope prof(PairOp(f, c), cell_profile);
-      result.emplace(CheckIndependence(*fds[f], *classes[c], schema,
-                                       alphabet, pair_options));
-    }
-    if (cell_profile != nullptr) {
-      cell_profile->status = result->status().ToString();
-    }
-    if (!result->ok()) {
-      if (guard::IsResourceStatus(result->status())) {
-        // Per-cell degradation: a budget trip on one pair is not a matrix
-        // failure. independent=false is the conservative verdict.
-        matrix.entries[pair] = MatrixEntry{f, c, false, 0, result->status()};
-      } else {
-        statuses[pair] = result->status();
-      }
-      return;
-    }
-    matrix.entries[pair] = MatrixEntry{f, c, (*result)->independent,
-                                       (*result)->product_size, Status::OK()};
-  });
-  for (Status& status : statuses) {
-    if (!status.ok()) return std::move(status);
   }
   return matrix;
 }

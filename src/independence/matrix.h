@@ -47,38 +47,23 @@ struct IndependenceMatrix {
                        const std::vector<std::string>& class_names) const;
 };
 
-struct MatrixOptions {
-  // Number of worker threads for the pair checks. <= 1 runs serially on
-  // the calling thread (the reference path); 0 is treated as 1. When
-  // `pool` is set, it is used as-is and `jobs` is ignored.
-  int jobs = 1;
-  exec::ThreadPool* pool = nullptr;
-
-  // Shared compile cache: each FD / update-class automaton is built once
-  // and reused across all pairs (and across matrices sharing the cache).
-  // Ignored when a budget or cancel token is configured (the criterion
-  // bypasses the cache under a guard).
-  exec::AutomatonCache* cache = nullptr;
-
-  // Per-pair budget: each (fd, class) pair runs under its own
-  // GuardContext, so a pathological pair degrades alone — its entry gets
-  // the resource status and independent=false while cheap pairs complete
-  // normally. The cancel token is shared across pairs.
-  guard::ExecutionBudget budget;
-  guard::CancelToken* cancel = nullptr;
-
-  // When non-null, resized to fds.size() * classes.size(); the row-major
-  // slot of pair (f, c) receives that cell's QueryProfile — op
-  // "independence.matrix[f,c]", the criterion's phase tree
-  // (compile_patterns / build_product / emptiness / ...), metric deltas,
-  // and the cell's final status.
-  std::vector<obs::QueryProfile>* profiles = nullptr;
-};
-
-// Runs CheckIndependence for every (fd, class) pair. Fails on the first
-// structural error in row-major pair order (e.g. a non-leaf-selected
-// update class). Resource statuses are NOT whole-matrix failures: they
-// degrade per cell (see MatrixEntry::status).
+// Runs CheckIndependence for every (fd, class) pair, one exec::RunBatch
+// item per pair in row-major order (jobs, pool, per-pair budget, shared
+// cancel token as in exec::BatchOptions). Fails on the first structural
+// error in row-major pair order (e.g. a non-leaf-selected update class).
+// Resource statuses are NOT whole-matrix failures: a pathological pair
+// degrades alone (see MatrixEntry::status) while cheap pairs complete.
+//
+// `cache` is a shared compile cache: each FD / update-class automaton is
+// built once and reused across all pairs (and across matrices sharing the
+// cache). It is warmed serially up front, and ignored when the batch is
+// guarded (a budget or cancel token; the criterion bypasses the cache
+// under a guard).
+//
+// With `options.profiles` the row-major slot of pair (f, c) receives that
+// cell's QueryProfile — op "independence.matrix[f,c]", the criterion's
+// phase tree (compile_patterns / build_product / emptiness / ...), metric
+// deltas, the cell's guard accounting, and its final status.
 //
 // Determinism: the result (entry order, every field, and which error is
 // reported) is byte-identical for every jobs value — each pair writes a
@@ -90,7 +75,8 @@ StatusOr<IndependenceMatrix> ComputeIndependenceMatrix(
     const std::vector<const fd::FunctionalDependency*>& fds,
     const std::vector<const update::UpdateClass*>& classes,
     const schema::Schema* schema, Alphabet* alphabet,
-    const MatrixOptions& options = {});
+    const exec::BatchOptions& options = {},
+    exec::AutomatonCache* cache = nullptr);
 
 }  // namespace rtp::independence
 

@@ -84,6 +84,12 @@ MetricsSnapshot SnapshotDelta(const MetricsSnapshot& before,
                                             : 0;
       }
     }
+    // An empty window saw no samples, so after's extremes belong to an
+    // earlier one.
+    if (out.count == 0) {
+      out.min = HistogramDelta().min;
+      out.max = 0;
+    }
     delta.histograms.emplace_back(name, out);
   }
   return delta;

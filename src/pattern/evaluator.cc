@@ -1,7 +1,6 @@
 #include "pattern/evaluator.h"
 
 #include <algorithm>
-#include <optional>
 #include <unordered_set>
 
 #include "common/hashing.h"
@@ -199,16 +198,6 @@ std::vector<std::vector<NodeId>> EvaluateSelectedImpl(
 }  // namespace
 
 std::vector<std::vector<NodeId>> EvaluateSelected(const TreePattern& pattern,
-                                                  const Document& doc) {
-  return EvaluateSelected(pattern, doc, nullptr);
-}
-
-std::vector<std::vector<NodeId>> EvaluateSelected(const TreePattern& pattern,
-                                                  const DocIndex& index) {
-  return EvaluateSelected(pattern, index, nullptr);
-}
-
-std::vector<std::vector<NodeId>> EvaluateSelected(const TreePattern& pattern,
                                                   const Document& doc,
                                                   obs::QueryProfile* profile) {
   obs::ProfileScope prof("pattern.EvaluateSelected", profile);
@@ -226,52 +215,18 @@ std::vector<std::vector<NodeId>> EvaluateSelected(const TreePattern& pattern,
 
 std::vector<std::vector<std::vector<NodeId>>> EvaluateSelectedBatch(
     const TreePattern& pattern, const std::vector<const Document*>& docs,
-    int jobs, exec::ThreadPool* pool) {
-  EvalBatchOptions options;
-  options.jobs = jobs;
-  options.pool = pool;
-  return EvaluateSelectedBatch(pattern, docs, options, nullptr);
-}
-
-std::vector<std::vector<std::vector<NodeId>>> EvaluateSelectedBatch(
-    const TreePattern& pattern, const std::vector<const Document*>& docs,
-    const EvalBatchOptions& options, std::vector<Status>* statuses) {
+    const exec::BatchOptions& options, std::vector<Status>* statuses) {
   RTP_OBS_COUNT("pattern.eval.batches");
-  exec::ThreadPool* pool = options.pool;
-  std::optional<exec::ThreadPool> owned_pool;
-  if (pool == nullptr && options.jobs > 1) {
-    owned_pool.emplace(options.jobs);
-    pool = &*owned_pool;
-  }
-  if (statuses != nullptr) statuses->assign(docs.size(), Status::OK());
-  if (options.profiles != nullptr) {
-    options.profiles->assign(docs.size(), obs::QueryProfile());
-  }
-  const bool guarded = options.budget.Limited() || options.cancel != nullptr;
   std::vector<std::vector<std::vector<NodeId>>> results(docs.size());
-  exec::ParallelFor(pool, docs.size(), [&](size_t i) {
-    obs::QueryProfile* item_profile =
-        options.profiles == nullptr ? nullptr : &(*options.profiles)[i];
-    if (!guarded) {
-      results[i] = EvaluateSelected(pattern, *docs[i], item_profile);
-      return;
-    }
-    // Pool workers do not inherit the caller's thread-local guard; each
-    // document gets its own context so one runaway item trips alone.
-    if (options.cancel != nullptr && options.cancel->cancelled()) {
-      if (statuses != nullptr) {
-        (*statuses)[i] = CancelledError("cancelled before evaluation");
-      }
-      return;  // quick-skip lets the pool drain without touching the doc
-    }
-    guard::GuardContext ctx(options.budget, options.cancel);
-    guard::ScopedGuard scope(&ctx);
-    results[i] = EvaluateSelected(pattern, *docs[i], item_profile);
-    if (!ctx.ok()) {
-      results[i].clear();  // partial tuples under a trip are meaningless
-      if (statuses != nullptr) (*statuses)[i] = ctx.status();
-    }
-  });
+  std::vector<Status> item_statuses = exec::RunBatch(
+      docs.size(), options, [&](size_t i, obs::QueryProfile* profile) {
+        results[i] = EvaluateSelected(pattern, *docs[i], profile);
+      });
+  for (size_t i = 0; i < docs.size(); ++i) {
+    // Partial tuples under a trip are meaningless.
+    if (!item_statuses[i].ok()) results[i].clear();
+  }
+  if (statuses != nullptr) *statuses = std::move(item_statuses);
   return results;
 }
 

@@ -152,52 +152,29 @@ class MappingEnumerator {
 // nodes selected by the pattern (the roots of the subtree tuples of R(D)),
 // in first-encountered order. The DocIndex overload shares a prebuilt
 // document snapshot (multi-pattern callers); results are identical.
-std::vector<std::vector<xml::NodeId>> EvaluateSelected(
-    const TreePattern& pattern, const xml::Document& doc);
-std::vector<std::vector<xml::NodeId>> EvaluateSelected(
-    const TreePattern& pattern, const xml::DocIndex& index);
-
-// Profiled overloads: when `profile` is non-null the evaluation runs
-// under an obs::ProfileScope and fills it with the phase tree
-// (pattern.build_tables / pattern.enumerate), metric deltas, and guard
-// accounting. Null `profile` is identical to the overloads above.
+//
+// When `profile` is non-null the evaluation runs under an
+// obs::ProfileScope and fills it with the phase tree
+// (pattern.build_tables / pattern.enumerate), metric deltas, and the
+// accounting of the guard installed on this thread, if any.
 std::vector<std::vector<xml::NodeId>> EvaluateSelected(
     const TreePattern& pattern, const xml::Document& doc,
-    obs::QueryProfile* profile);
+    obs::QueryProfile* profile = nullptr);
 std::vector<std::vector<xml::NodeId>> EvaluateSelected(
     const TreePattern& pattern, const xml::DocIndex& index,
-    obs::QueryProfile* profile);
+    obs::QueryProfile* profile = nullptr);
 
-// Evaluates one pattern against many documents, one pool task per
-// document (`jobs` <= 1 runs serially; a non-null `pool` overrides
-// `jobs`). Results are indexed like `docs` and bit-identical to serial
-// EvaluateSelected calls for every jobs value. `docs` must not repeat a
+// Evaluates one pattern against many documents, one exec::RunBatch item
+// per document (jobs, pool, per-document budget, shared cancel token and
+// per-document profiles as in exec::BatchOptions). Results are indexed like
+// `docs` and bit-identical to serial EvaluateSelected calls for every jobs
+// value. When `statuses` is non-null it receives the per-document statuses:
+// OK iff results[i] is trustworthy, else the resource status that tripped
+// document i, whose result slot is then empty. `docs` must not repeat a
 // Document (its lazy preorder index is not internally synchronized).
 std::vector<std::vector<std::vector<xml::NodeId>>> EvaluateSelectedBatch(
     const TreePattern& pattern, const std::vector<const xml::Document*>& docs,
-    int jobs = 1, exec::ThreadPool* pool = nullptr);
-
-// Options for the guarded batch overload. The budget applies per document
-// (deadline measured from that document's start), so one pathological
-// document trips alone while the rest of the batch completes; the cancel
-// token is shared, so cancelling drains the whole batch quickly.
-struct EvalBatchOptions {
-  int jobs = 1;
-  exec::ThreadPool* pool = nullptr;  // non-null overrides `jobs`
-  guard::ExecutionBudget budget;     // per document; default unlimited
-  guard::CancelToken* cancel = nullptr;
-  // When non-null, resized to docs.size(); slot i receives document i's
-  // QueryProfile (captured on the worker that evaluated it, so batch
-  // items are individually attributed even under pool fan-out).
-  std::vector<obs::QueryProfile>* profiles = nullptr;
-};
-
-// Guarded batch evaluation. When `statuses` is non-null it is resized to
-// docs.size(); slot i holds OK iff results[i] is trustworthy, else the
-// resource status that tripped that document (whose result slot is empty).
-std::vector<std::vector<std::vector<xml::NodeId>>> EvaluateSelectedBatch(
-    const TreePattern& pattern, const std::vector<const xml::Document*>& docs,
-    const EvalBatchOptions& options, std::vector<Status>* statuses = nullptr);
+    const exec::BatchOptions& options, std::vector<Status>* statuses = nullptr);
 
 // The trace of a mapping: the smallest subtree of the document containing
 // the image of the template (union of the root-to-image paths). Returned

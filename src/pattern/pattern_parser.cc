@@ -153,12 +153,8 @@ class DslParser {
         input_.substr(regex_start, pos_ - regex_start);
     RTP_ASSIGN_OR_RETURN(regex::RegexAst ast,
                          regex::ParseRegex(alphabet_, regex_text));
-    regex::Regex edge = regex::Regex::FromAst(std::move(ast));
-    // Minimal edge DFAs are an invariant of compiled patterns (they bound
-    // the per-state loops of MatchTables::Build), enforced here rather
-    // than assumed from the Regex constructor.
-    edge.EnsureMinimalDfa();
-    PatternNodeId node = result_.pattern.AddChild(parent, std::move(edge));
+    PatternNodeId node = result_.pattern.AddChild(
+        parent, regex::Regex::FromAst(std::move(ast)));
     if (!name.empty()) {
       if (!result_.names.emplace(name, node).second) {
         return Error("duplicate node name '" + name + "'");

@@ -25,13 +25,4 @@ Regex Regex::FromAstUnminimized(RegexAst ast) {
   return Regex(std::move(ast), std::move(dfa));
 }
 
-void Regex::EnsureMinimalDfa() {
-  Dfa minimized = dfa_.Minimize();
-  if (minimized.NumStates() < dfa_.NumStates()) {
-    RTP_OBS_COUNT("regex.edge_minimizations");
-    dfa_ = std::move(minimized);
-    dense_ = std::make_shared<const DenseDfa>(DenseDfa::Build(dfa_));
-  }
-}
-
 }  // namespace rtp::regex

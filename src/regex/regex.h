@@ -45,13 +45,6 @@ class Regex {
   // Dense table compiled from dfa() at construction, shared by all copies.
   const DenseDfa& dense_dfa() const { return *dense_; }
 
-  // Re-minimizes the DFA in place (rebuilding the dense table) when that
-  // shrinks it. Parse/FromAst already minimize, so this is a no-op there;
-  // the pattern compilation paths (DSL parser, XPath and path-FD
-  // compilers) call it to make edge-DFA minimality an enforced invariant
-  // rather than a side effect of which constructor built the edge.
-  void EnsureMinimalDfa();
-
   // A pattern edge label must be proper: the empty word is not in the
   // language (Definition 1).
   bool IsProper() const { return !dfa_.AcceptsEmptyWord(); }

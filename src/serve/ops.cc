@@ -17,13 +17,15 @@ StatusOr<fd::FunctionalDependency> ParseFd(Alphabet* alphabet,
 }
 
 StatusOr<independence::IndependenceMatrix> MatrixInputs::Compute(
-    Alphabet* alphabet, const independence::MatrixOptions& options) const {
+    Alphabet* alphabet, const exec::BatchOptions& options,
+    exec::AutomatonCache* cache) const {
   std::vector<const fd::FunctionalDependency*> fd_ptrs;
   for (const auto& fd : fds) fd_ptrs.push_back(&fd);
   std::vector<const update::UpdateClass*> class_ptrs;
   for (const auto& cls : classes) class_ptrs.push_back(&cls);
   return independence::ComputeIndependenceMatrix(
-      fd_ptrs, class_ptrs, schema ? &*schema : nullptr, alphabet, options);
+      fd_ptrs, class_ptrs, schema ? &*schema : nullptr, alphabet, options,
+      cache);
 }
 
 StatusOr<MatrixInputs> ParseMatrixInputs(

@@ -67,7 +67,8 @@ struct MatrixInputs {
 
   // ComputeIndependenceMatrix over these inputs.
   StatusOr<independence::IndependenceMatrix> Compute(
-      Alphabet* alphabet, const independence::MatrixOptions& options) const;
+      Alphabet* alphabet, const exec::BatchOptions& options,
+      exec::AutomatonCache* cache) const;
 };
 
 // Parses FD texts, update-class texts and a schema text ("" = no schema)

@@ -630,10 +630,6 @@ JsonValue Server::HandleCheckFd(Tenant& tenant, const Request& req,
   CheckFdResult checked;
   {
     std::shared_lock<std::shared_mutex> lock(tenant.mu);
-    // The ambient request guard (arrival-anchored deadline, shared cancel
-    // token) covers the check; CheckOptions deliberately carries no
-    // budget, so CheckFd's own guard scope stays disengaged and its
-    // result.status surfaces this guard's trip.
     guard::GuardContext ctx(budget, cancel, arrival_ns);
     guard::ScopedGuard scope(&ctx);
     fd::CheckOptions options;
@@ -674,8 +670,9 @@ JsonValue Server::HandleMatrix(Tenant& tenant, const Request& req,
   std::optional<StatusOr<independence::IndependenceMatrix>> matrix_or;
   {
     std::shared_lock<std::shared_mutex> lock(tenant.mu);
-    independence::MatrixOptions options;
+    exec::BatchOptions options;
     options.pool = pool_.get();
+    exec::AutomatonCache* cache = nullptr;
     if (budget.Limited()) {
       // Budgeted: per-pair guards, per-cell degradation, and the shared
       // cancel token. The criterion bypasses the shared AutomatonCache
@@ -687,10 +684,11 @@ JsonValue Server::HandleMatrix(Tenant& tenant, const Request& req,
       // Unbudgeted: run against the process-wide warm cache. No cancel
       // token — wiring one would force the cache bypass and cost every
       // fast request its warm automata to support a rare disconnect.
-      options.cache = &exec::AutomatonCache::Global();
+      cache = &exec::AutomatonCache::Global();
     }
     if (req.profile) options.profiles = &cell_profiles;
-    matrix_or.emplace(inputs->value().Compute(&tenant.alphabet, options));
+    matrix_or.emplace(
+        inputs->value().Compute(&tenant.alphabet, options, cache));
   }
   if (!matrix_or->ok()) return MakeErrorResponse(req.id, matrix_or->status());
   MatrixResult result = MakeMatrixResult(matrix_or->value());

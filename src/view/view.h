@@ -42,8 +42,9 @@ class View {
 // whose updated node lies on the view trace or inside a selected subtree.
 // It is independence::CheckPatternIndependence on the view's pattern, so
 // it has the same preconditions as CheckIndependence (leaf-selected
-// update class) and honours every CriterionOptions field: the conflict
-// candidate, the compile cache, the budget and the cancel token.
+// update class), honours every CriterionOptions field (the conflict
+// candidate and the compile cache) and runs under the caller's ambient
+// guard, if any.
 StatusOr<independence::CriterionResult> CheckViewIndependence(
     const View& view, const update::UpdateClass& update,
     const schema::Schema* schema, Alphabet* alphabet,

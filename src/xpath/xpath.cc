@@ -193,13 +193,6 @@ void AppendStepParts(Alphabet* alphabet, Axis axis, const NodeTest& test,
   parts->push_back(TestAtom(alphabet, test));
 }
 
-// Compiled XPath edges carry minimal DFAs, like parsed-pattern edges.
-regex::Regex MinimalEdge(regex::RegexAst ast) {
-  regex::Regex edge = regex::Regex::FromAst(std::move(ast));
-  edge.EnsureMinimalDfa();
-  return edge;
-}
-
 TreePattern CompileBranch(Alphabet* alphabet, const std::vector<Step>& steps) {
   TreePattern tree;
   PatternNodeId current = TreePattern::kRoot;
@@ -209,21 +202,22 @@ TreePattern CompileBranch(Alphabet* alphabet, const std::vector<Step>& steps) {
     if (step.predicates.empty()) continue;
     // Materialize the step as a template node and hang the predicate
     // branches under it (in listed order — see the semantic caveat).
-    current =
-        tree.AddChild(current, MinimalEdge(regex::Cat(std::move(pending))));
+    current = tree.AddChild(
+        current, regex::Regex::FromAst(regex::Cat(std::move(pending))));
     pending.clear();
     for (const std::vector<RelStep>& predicate : step.predicates) {
       std::vector<regex::RegexAst> parts;
       for (const RelStep& rel : predicate) {
         AppendStepParts(alphabet, rel.axis, rel.test, &parts);
       }
-      tree.AddChild(current, MinimalEdge(regex::Cat(std::move(parts))));
+      tree.AddChild(current,
+                    regex::Regex::FromAst(regex::Cat(std::move(parts))));
     }
   }
   PatternNodeId selected = current;
   if (!pending.empty()) {
-    selected =
-        tree.AddChild(current, MinimalEdge(regex::Cat(std::move(pending))));
+    selected = tree.AddChild(
+        current, regex::Regex::FromAst(regex::Cat(std::move(pending))));
   }
   tree.AddSelected(selected);
   return tree;

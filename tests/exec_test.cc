@@ -1,6 +1,6 @@
 // Concurrency tests for the rtp::exec engine: ThreadPool scheduling,
-// ParallelFor coverage and error propagation, and the build-once contract
-// of AutomatonCache. These run under -DRTP_SANITIZE=thread in CI (the
+// ParallelFor coverage and error propagation, the per-item guard contract
+// of RunBatch, and the build-once contract of AutomatonCache. These run under -DRTP_SANITIZE=thread in CI (the
 // `exec` ctest label), so every test doubles as a data-race probe: keep
 // iteration counts small but contention real.
 
@@ -17,6 +17,7 @@
 #include "automata/pattern_compiler.h"
 #include "exec/automaton_cache.h"
 #include "exec/thread_pool.h"
+#include "guard/guard.h"
 #include "obs/metrics.h"
 #include "workload/paper_patterns.h"
 
@@ -130,6 +131,95 @@ TEST(ParallelForTest, NestedCallFromWorkerDoesNotDeadlock) {
     });
   });
   EXPECT_EQ(inner.load(), 32);
+}
+
+// A work item of `steps` guard polls; false when the guard stopped it.
+bool PollSteps(int64_t steps) {
+  for (int64_t s = 0; s < steps; ++s) {
+    if (!guard::KeepGoing()) return false;
+  }
+  return true;
+}
+
+TEST(RunBatchTest, CancelMidBatchLeavesEachItemOkOrCancelled) {
+  constexpr size_t kItems = 64;
+  constexpr size_t kCanceller = 5;
+  guard::CancelToken cancel;
+  BatchOptions options{.jobs = 4, .cancel = &cancel};
+  std::vector<Status> statuses =
+      RunBatch(kItems, options, [&](size_t i, obs::QueryProfile*) {
+        if (i == kCanceller) cancel.Cancel();
+        PollSteps(2'000);
+      });
+  ASSERT_EQ(statuses.size(), kItems);
+  for (size_t i = 0; i < kItems; ++i) {
+    EXPECT_TRUE(statuses[i].ok() ||
+                statuses[i].code() == StatusCode::kCancelled)
+        << i << ": " << statuses[i].ToString();
+  }
+  // The cancelling item polls after the cancel, so it sees it itself.
+  EXPECT_EQ(statuses[kCanceller].code(), StatusCode::kCancelled);
+}
+
+TEST(RunBatchTest, PreCancelledBatchRunsNoItem) {
+  guard::CancelToken cancel;
+  cancel.Cancel();
+  std::atomic<int> calls{0};
+  std::vector<Status> statuses = RunBatch(
+      8, {.jobs = 4, .cancel = &cancel},
+      [&](size_t, obs::QueryProfile*) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 0);
+  for (const Status& status : statuses) {
+    EXPECT_EQ(status.code(), StatusCode::kCancelled);
+  }
+}
+
+TEST(RunBatchTest, PerItemStepBudgetTripsOnlyTheLargeItem) {
+  const std::vector<int64_t> steps = {10, 10, 100'000, 10};
+  std::vector<obs::QueryProfile> profiles;
+  BatchOptions options{.jobs = 4, .profiles = &profiles};
+  options.budget.max_steps = 1'000;
+  std::vector<int> completed(steps.size(), 0);
+  std::vector<Status> statuses = RunBatch(
+      steps.size(), options, [&](size_t i, obs::QueryProfile* profile) {
+        EXPECT_EQ(profile, &profiles[i]);
+        completed[i] = PollSteps(steps[i]) ? 1 : 0;
+      });
+  ASSERT_EQ(statuses.size(), steps.size());
+  ASSERT_EQ(profiles.size(), steps.size());
+  for (size_t i = 0; i < steps.size(); ++i) {
+    if (i == 2) {
+      EXPECT_EQ(statuses[i].code(), StatusCode::kResourceExhausted);
+      EXPECT_EQ(completed[i], 0);
+    } else {
+      EXPECT_TRUE(statuses[i].ok()) << i << ": " << statuses[i].ToString();
+      EXPECT_EQ(completed[i], 1) << i;
+    }
+  }
+}
+
+TEST(RunBatchTest, UnlimitedBatchBuildsNoGuardContext) {
+  uint64_t contexts_before = CounterValue("guard.contexts");
+  std::atomic<int> guarded{0};
+  std::vector<Status> statuses =
+      RunBatch(16, {.jobs = 4}, [&](size_t, obs::QueryProfile* profile) {
+        EXPECT_EQ(profile, nullptr);
+        if (guard::Active()) guarded.fetch_add(1);
+      });
+  EXPECT_EQ(CounterValue("guard.contexts") - contexts_before, 0u);
+  EXPECT_EQ(guarded.load(), 0);
+  for (const Status& status : statuses) EXPECT_TRUE(status.ok());
+
+  // A budget installs one context per item.
+  BatchOptions limited{.jobs = 4};
+  limited.budget.max_steps = 1'000;
+  RunBatch(16, limited, [&](size_t, obs::QueryProfile*) {
+    if (guard::Active()) guarded.fetch_add(1);
+  });
+  EXPECT_EQ(guarded.load(), 16);
+#ifndef RTP_OBS_DISABLED
+  EXPECT_EQ(CounterValue("guard.contexts") - contexts_before, 16u);
+#endif
 }
 
 TEST(MemoMapTest, ContendedGetOrBuildBuildsExactlyOnce) {

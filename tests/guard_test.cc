@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "exec/thread_pool.h"
 #include "fd/fd_checker.h"
 #include "fd/functional_dependency.h"
 #include "guard/failpoints.h"
@@ -293,7 +294,7 @@ TEST(GuardBatchTest, EvaluateSelectedBatchDegradesPerDocument) {
   xml::Document large = MakeItemDoc(&alphabet, kLargeItems);
   std::vector<const xml::Document*> docs = {&small, &large};
 
-  pattern::EvalBatchOptions options;
+  exec::BatchOptions options;
   options.budget.max_steps = kBatchStepQuota;
   std::vector<Status> statuses;
   auto results = pattern::EvaluateSelectedBatch(parsed->pattern, docs,
@@ -308,7 +309,7 @@ TEST(GuardBatchTest, EvaluateSelectedBatchDegradesPerDocument) {
   EXPECT_TRUE(results[1].empty());  // partial tuples are never surfaced
 
   // The same batch without a budget completes both documents.
-  auto unlimited = pattern::EvaluateSelectedBatch(parsed->pattern, docs, 1);
+  auto unlimited = pattern::EvaluateSelectedBatch(parsed->pattern, docs, {});
   EXPECT_EQ(unlimited[0], results[0]);
   EXPECT_EQ(unlimited[1].size(), static_cast<size_t>(kLargeItems));
 }
@@ -341,8 +342,8 @@ TEST(GuardBatchTest, CheckFdBatchDegradesPerDocument) {
   xml::Document large = MakeItemDoc(&alphabet, kLargeItems);
   std::vector<const xml::Document*> docs = {&small, &large};
 
-  fd::BatchCheckOptions options;
-  options.check.budget.max_steps = kBatchStepQuota;
+  exec::BatchOptions options;
+  options.budget.max_steps = kBatchStepQuota;
   std::vector<fd::CheckResult> results = fd::CheckFdBatch(fd, docs, options);
   ASSERT_EQ(results.size(), 2u);
 
@@ -366,8 +367,8 @@ TEST(GuardBatchTest, CancelledTokenDrainsBatchWithoutWork) {
 
   guard::CancelToken cancel;
   cancel.Cancel();  // cancelled before the batch even starts
-  fd::BatchCheckOptions options;
-  options.check.cancel = &cancel;
+  exec::BatchOptions options;
+  options.cancel = &cancel;
   options.jobs = 2;
   std::vector<fd::CheckResult> results = fd::CheckFdBatch(fd, docs, options);
   ASSERT_EQ(results.size(), docs.size());
@@ -383,10 +384,9 @@ TEST(GuardBatchTest, CancelledTokenYieldsCancelledCriterion) {
   ASSERT_TRUE(reduction.ok());
   guard::CancelToken cancel;
   cancel.Cancel();
-  independence::CriterionOptions options;
-  options.cancel = &cancel;
+  guard::OptionalGuardScope scope(guard::ExecutionBudget{}, &cancel);
   auto result = independence::CheckIndependence(
-      reduction->fd, reduction->update_class, nullptr, &alphabet, options);
+      reduction->fd, reduction->update_class, nullptr, &alphabet);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
 }
@@ -434,7 +434,7 @@ TEST(GuardGadgetTest, MatrixDegradesPathologicalCellsPerCell) {
 
   uint64_t trips_before = CounterValue("guard.trips.resource");
 
-  independence::MatrixOptions options;
+  exec::BatchOptions options;
   options.budget.max_automaton_states =
       cheap_states + (patho_states - cheap_states) / 2;
   auto matrix = independence::ComputeIndependenceMatrix(
@@ -468,6 +468,16 @@ TEST(GuardGadgetTest, MatrixDegradesPathologicalCellsPerCell) {
 // ---------------------------------------------------------------------------
 // Fault injection (compiled in by the failpoints CI leg).
 
+// One check under its own engaged-but-unreachable budget, as a
+// single-shot caller installs it.
+fd::CheckResult CheckUnderHugeBudget(const fd::FunctionalDependency& fd,
+                                     const xml::Document& doc) {
+  guard::ExecutionBudget budget;
+  budget.max_steps = int64_t{1} << 40;
+  guard::OptionalGuardScope scope(budget, /*cancel=*/nullptr);
+  return fd::CheckFd(fd, doc);
+}
+
 class GuardFailpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -500,13 +510,11 @@ TEST_F(GuardFailpointTest, FdCheckFailpointSurfacesInResultStatus) {
   xml::Document doc = MakeItemDoc(&alphabet, kSmallItems);
 
   guard::ArmFailpoint("fd.check", guard::FailAction::kDeadline);
-  fd::CheckOptions options;
-  options.budget.max_steps = int64_t{1} << 40;
-  fd::CheckResult result = fd::CheckFd(fd, doc, options);
+  fd::CheckResult result = CheckUnderHugeBudget(fd, doc);
   EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
 
   // Disarmed after firing: the next check is clean.
-  fd::CheckResult clean = fd::CheckFd(fd, doc, options);
+  fd::CheckResult clean = CheckUnderHugeBudget(fd, doc);
   EXPECT_TRUE(clean.status.ok()) << clean.status.ToString();
 }
 
@@ -517,11 +525,9 @@ TEST_F(GuardFailpointTest, AfterHitsDelaysFiring) {
 
   guard::ArmFailpoint("fd.check", guard::FailAction::kCancel,
                       /*after_hits=*/1);
-  fd::CheckOptions options;
-  options.budget.max_steps = int64_t{1} << 40;
-  fd::CheckResult first = fd::CheckFd(fd, doc, options);
+  fd::CheckResult first = CheckUnderHugeBudget(fd, doc);
   EXPECT_TRUE(first.status.ok()) << first.status.ToString();
-  fd::CheckResult second = fd::CheckFd(fd, doc, options);
+  fd::CheckResult second = CheckUnderHugeBudget(fd, doc);
   EXPECT_EQ(second.status.code(), StatusCode::kCancelled);
 }
 

@@ -16,12 +16,15 @@
 
 #include "fd/fd_checker.h"
 #include "fd/functional_dependency.h"
+#include "guard/guard.h"
+#include "independence/matrix.h"
 #include "obs/domain.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "pattern/evaluator.h"
+#include "update/update_class.h"
 #include "workload/exam_generator.h"
 #include "workload/paper_patterns.h"
 
@@ -203,11 +206,16 @@ TEST(ProfileScopeTest, GuardedCheckReportsBudgetConsumption) {
   xml::Document doc = workload::GenerateExamDocument(&alphabet, params);
 
   QueryProfile profile;
+  guard::ExecutionBudget budget;
+  budget.max_steps = 1'000'000;
+  budget.deadline_ms = 60'000;
   fd::CheckOptions options;
-  options.budget.max_steps = 1'000'000;
-  options.budget.deadline_ms = 60'000;
   options.profile = &profile;
-  fd::CheckResult result = fd::CheckFd(fd.value(), doc, options);
+  fd::CheckResult result;
+  {
+    guard::OptionalGuardScope scope(budget, /*cancel=*/nullptr);
+    result = fd::CheckFd(fd.value(), doc, options);
+  }
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
 
   EXPECT_EQ(profile.op, "fd.CheckFd");
@@ -284,12 +292,9 @@ TEST(BatchAttributionTest, FdBatchProfilesSumToRegistryDelta) {
   const std::vector<std::string> prefixes = {"fd.check.", "pattern.eval."};
   MetricsSnapshot before = obs::TakeSnapshot();
 
-  fd::BatchCheckOptions options;
-  options.jobs = 8;
   std::vector<QueryProfile> profiles;
-  options.profiles = &profiles;
-  std::vector<fd::CheckResult> results =
-      fd::CheckFdBatch(fd.value(), ptrs, options);
+  std::vector<fd::CheckResult> results = fd::CheckFdBatch(
+      fd.value(), ptrs, {.jobs = 8, .profiles = &profiles});
 
   MetricsSnapshot delta = obs::SnapshotDelta(before, obs::TakeSnapshot());
   ASSERT_EQ(results.size(), ptrs.size());
@@ -322,11 +327,9 @@ TEST(BatchAttributionTest, EvalBatchProfilesSumToRegistryDelta) {
   const std::vector<std::string> prefixes = {"pattern.eval."};
   MetricsSnapshot before = obs::TakeSnapshot();
 
-  pattern::EvalBatchOptions options;
-  options.jobs = 8;
   std::vector<QueryProfile> profiles;
-  options.profiles = &profiles;
-  auto results = pattern::EvaluateSelectedBatch(parsed.pattern, ptrs, options);
+  auto results = pattern::EvaluateSelectedBatch(
+      parsed.pattern, ptrs, {.jobs = 8, .profiles = &profiles});
 
   MetricsSnapshot delta = obs::SnapshotDelta(before, obs::TakeSnapshot());
   ASSERT_EQ(results.size(), ptrs.size());
@@ -339,6 +342,35 @@ TEST(BatchAttributionTest, EvalBatchProfilesSumToRegistryDelta) {
 
   EXPECT_EQ(SumProfileCounters(profiles, prefixes),
             RegistryDeltaFor(delta, prefixes));
+}
+
+// Every batch opens an item's profile inside that item's guard, so a
+// budgeted matrix cell reports its guard block like a CheckFdBatch or
+// EvaluateSelectedBatch item does.
+TEST(BatchAttributionTest, MatrixCellProfilesReportTheirGuard) {
+  SKIP_IF_OBS_DISABLED();
+  Alphabet alphabet;
+  auto fd1 = fd::FunctionalDependency::FromParsed(workload::PaperFd1(&alphabet));
+  auto fd5 = fd::FunctionalDependency::FromParsed(workload::PaperFd5(&alphabet));
+  auto cls = update::UpdateClass::FromParsed(workload::PaperUpdateU(&alphabet));
+  ASSERT_TRUE(fd1.ok() && fd5.ok() && cls.ok());
+
+  constexpr int64_t kHuge = int64_t{1} << 40;
+  std::vector<QueryProfile> profiles;
+  exec::BatchOptions options{.jobs = 2, .profiles = &profiles};
+  options.budget.max_steps = kHuge;
+  auto matrix = independence::ComputeIndependenceMatrix(
+      {&*fd1, &*fd5}, {&*cls}, /*schema=*/nullptr, &alphabet, options);
+  ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
+  ASSERT_EQ(profiles.size(), 2u);
+  for (size_t f = 0; f < profiles.size(); ++f) {
+    const QueryProfile& p = profiles[f];
+    EXPECT_EQ(p.op, "independence.matrix[" + std::to_string(f) + ",0]");
+    EXPECT_EQ(p.status, "OK");
+    EXPECT_TRUE(p.guard.guarded) << p.op;
+    EXPECT_EQ(p.guard.budget_max_steps, kHuge) << p.op;
+    EXPECT_GT(p.guard.steps, 0) << p.op;
+  }
 }
 
 }  // namespace

@@ -324,6 +324,27 @@ TEST(ExpositionTest, SnapshotDeltaSubtractsCountersAndHistograms) {
   EXPECT_TRUE(found_gauge);
 }
 
+// A window with no new samples must not inherit the extremes of an
+// earlier window (a per-benchmark delta would report a stale maximum).
+TEST(ExpositionTest, SnapshotDeltaOfEmptyWindowHasNoExtremes) {
+  Histogram* h = Registry().FindOrCreateHistogram("obstest.expo.empty");
+  h->Reset();
+  h->Record(66);
+
+  MetricsSnapshot before = TakeSnapshot();
+  MetricsSnapshot delta = SnapshotDelta(before, TakeSnapshot());
+
+  bool found_hist = false;
+  for (const auto& [name, d] : delta.histograms) {
+    if (name != "obstest.expo.empty") continue;
+    found_hist = true;
+    EXPECT_EQ(d.count, 0u);
+    EXPECT_EQ(d.max, 0u);
+    EXPECT_EQ(d.ReportedMin(), 0u);
+  }
+  EXPECT_TRUE(found_hist);
+}
+
 TEST(ExpositionTest, SnapshotJsonMatchesDumpShape) {
   Registry().FindOrCreateCounter("obstest.expo.json")->Reset();
   std::string json = SnapshotToJson(TakeSnapshot());

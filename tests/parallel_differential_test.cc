@@ -14,7 +14,6 @@
 #include "exec/automaton_cache.h"
 #include "exec/thread_pool.h"
 #include "fd/fd_checker.h"
-#include "fd/fd_index.h"
 #include "fd/functional_dependency.h"
 #include "fd/reference_checker.h"
 #include "independence/matrix.h"
@@ -68,11 +67,8 @@ TEST(ParallelMatrixTest, PaperWorkloadIdenticalAcrossJobs) {
   for (int jobs : kJobs) {
     // A fresh cache per jobs value: hits/misses differ, results must not.
     exec::AutomatonCache cache;
-    independence::MatrixOptions options;
-    options.jobs = jobs;
-    options.cache = &cache;
     auto matrix = independence::ComputeIndependenceMatrix(
-        fd_ptrs, class_ptrs, &schema, &alphabet, options);
+        fd_ptrs, class_ptrs, &schema, &alphabet, {.jobs = jobs}, &cache);
     ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
     EXPECT_EQ(matrix->num_fds, fds.size());
     EXPECT_EQ(matrix->num_classes, 1u);
@@ -102,11 +98,8 @@ TEST(ParallelMatrixTest, CachedAndUncachedAgree) {
   ASSERT_TRUE(uncached.ok());
 
   exec::AutomatonCache cache;
-  independence::MatrixOptions options;
-  options.jobs = 2;
-  options.cache = &cache;
   auto cached = independence::ComputeIndependenceMatrix(
-      fd_ptrs, class_ptrs, &schema, &alphabet, options);
+      fd_ptrs, class_ptrs, &schema, &alphabet, {.jobs = 2}, &cache);
   ASSERT_TRUE(cached.ok());
 
   EXPECT_EQ(MatrixFingerprint(*uncached), MatrixFingerprint(*cached));
@@ -134,10 +127,8 @@ TEST(ParallelMatrixTest, StructuralErrorIsDeterministicAcrossJobs) {
 
   std::string serial_error;
   for (int jobs : kJobs) {
-    independence::MatrixOptions options;
-    options.jobs = jobs;
     auto matrix = independence::ComputeIndependenceMatrix(
-        fd_ptrs, class_ptrs, /*schema=*/nullptr, &alphabet, options);
+        fd_ptrs, class_ptrs, /*schema=*/nullptr, &alphabet, {.jobs = jobs});
     ASSERT_FALSE(matrix.ok());
     if (jobs == 1) {
       serial_error = matrix.status().ToString();
@@ -191,10 +182,8 @@ TEST(ParallelFdCheckTest, ExamWorkloadIdenticalAcrossJobsAndMatchesSerial) {
     serial.push_back(CheckFingerprint(fd::CheckFd(fd.value(), *doc)));
   }
   for (int jobs : kJobs) {
-    fd::BatchCheckOptions options;
-    options.jobs = jobs;
     std::vector<fd::CheckResult> batch =
-        fd::CheckFdBatch(fd.value(), ptrs, options);
+        fd::CheckFdBatch(fd.value(), ptrs, {.jobs = jobs});
     ASSERT_EQ(batch.size(), serial.size());
     for (size_t i = 0; i < batch.size(); ++i) {
       EXPECT_EQ(CheckFingerprint(batch[i]), serial[i])
@@ -230,10 +219,8 @@ TEST(ParallelFdCheckTest, RandomTreesMatchReferenceOracle) {
     for (const auto& doc : docs) ptrs.push_back(&doc);
 
     for (int jobs : kJobs) {
-      fd::BatchCheckOptions options;
-      options.jobs = jobs;
       std::vector<fd::CheckResult> batch =
-          fd::CheckFdBatch(fd.value(), ptrs, options);
+          fd::CheckFdBatch(fd.value(), ptrs, {.jobs = jobs});
       ASSERT_EQ(batch.size(), docs.size());
       for (size_t i = 0; i < docs.size(); ++i) {
         bool expected = fd::ReferenceCheckFd(fd.value(), docs[i]);
@@ -292,7 +279,8 @@ TEST(ParallelEvalTest, RandomWorkloadMatchesSerialAndReference) {
     }
     // Batch vs serial: exact, order included, for every jobs value.
     for (int jobs : kJobs) {
-      auto batch = pattern::EvaluateSelectedBatch(pattern, ptrs, jobs);
+      auto batch =
+          pattern::EvaluateSelectedBatch(pattern, ptrs, {.jobs = jobs});
       EXPECT_EQ(batch, serial) << "seed=" << seed << " jobs=" << jobs;
     }
   }
@@ -335,44 +323,9 @@ TEST(DenseKernelDifferentialTest, DocAndIndexAndBatchMatchReference) {
           << "seed=" << seed << " doc=" << i;
     }
     for (int jobs : kJobs) {
-      auto batch = pattern::EvaluateSelectedBatch(pattern, ptrs, jobs);
+      auto batch =
+          pattern::EvaluateSelectedBatch(pattern, ptrs, {.jobs = jobs});
       EXPECT_EQ(batch, serial) << "seed=" << seed << " jobs=" << jobs;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// FdIndex::BuildMany: same groups as one-at-a-time construction.
-
-TEST(ParallelFdIndexTest, BuildManyMatchesSingleBuilds) {
-  Alphabet alphabet;
-  auto fd = fd::FunctionalDependency::FromParsed(workload::PaperFd1(&alphabet));
-  ASSERT_TRUE(fd.ok());
-
-  std::vector<xml::Document> docs;
-  for (uint64_t seed = 11; seed <= 14; ++seed) {
-    workload::ExamWorkloadParams params;
-    params.num_candidates = 5;
-    params.exams_per_candidate = 2;
-    params.seed = seed;
-    docs.push_back(workload::GenerateExamDocument(&alphabet, params));
-  }
-  std::vector<const xml::Document*> ptrs;
-  for (const auto& doc : docs) ptrs.push_back(&doc);
-
-  for (int jobs : kJobs) {
-    std::vector<fd::FdIndex> indexes =
-        fd::FdIndex::BuildMany(fd.value(), ptrs, jobs);
-    ASSERT_EQ(indexes.size(), docs.size());
-    for (size_t i = 0; i < docs.size(); ++i) {
-      fd::FdIndex single = fd::FdIndex::Build(fd.value(), docs[i]);
-      EXPECT_EQ(indexes[i].satisfied(), single.satisfied())
-          << "jobs=" << jobs << " doc=" << i;
-      EXPECT_EQ(indexes[i].last_pass_mappings(), single.last_pass_mappings())
-          << "jobs=" << jobs << " doc=" << i;
-      EXPECT_EQ(indexes[i].supports_incremental(),
-                single.supports_incremental())
-          << "jobs=" << jobs << " doc=" << i;
     }
   }
 }

@@ -5,6 +5,11 @@
 #include <string>
 #include <vector>
 
+#include "fd/path_fd.h"
+#include "fuzz/generators.h"
+#include "fuzz/rng.h"
+#include "pattern/pattern_parser.h"
+
 namespace rtp::regex {
 namespace {
 
@@ -232,6 +237,50 @@ TEST(DfaTest, FromWordAcceptsExactlyThatWord) {
   std::vector<LabelId> other = {alphabet.Intern("x")};
   EXPECT_FALSE(dfa.Accepts(other));
   EXPECT_FALSE(dfa.Accepts({}));
+}
+
+// Every constructor the pattern front ends use (Parse, FromAst) yields a
+// minimal DFA, so a second minimization never shrinks an edge. This is
+// the invariant the MatchTables::Build state loops rely on.
+bool IsMinimal(const Regex& re) {
+  return re.dfa().Minimize().NumStates() == re.dfa().NumStates();
+}
+
+void ExpectMinimalEdges(const pattern::TreePattern& pattern,
+                        const std::string& text) {
+  for (pattern::PatternNodeId w = 1; w < pattern.NumNodes(); ++w) {
+    EXPECT_TRUE(IsMinimal(pattern.edge(w))) << "edge " << w << " of\n"
+                                            << text;
+  }
+}
+
+TEST(RegexMinimalityTest, FuzzRegexesAreMinimal) {
+  fuzz::Rng rng(2010);
+  fuzz::TextGenParams params;
+  for (int i = 0; i < 500; ++i) {
+    Alphabet alphabet;
+    std::string text = fuzz::GenerateRegexText(&rng, params);
+    auto re = Regex::Parse(&alphabet, text);
+    ASSERT_TRUE(re.ok()) << text << ": " << re.status().ToString();
+    EXPECT_TRUE(IsMinimal(*re)) << text;
+  }
+}
+
+TEST(RegexMinimalityTest, ParsedPatternAndPathFdEdgesAreMinimal) {
+  fuzz::Rng rng(2010);
+  fuzz::TextGenParams params;
+  for (int i = 0; i < 300; ++i) {
+    Alphabet alphabet;
+    std::string text = fuzz::GeneratePatternDslText(&rng, params);
+    auto parsed = pattern::ParsePattern(&alphabet, text);
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+    ExpectMinimalEdges(parsed->pattern, text);
+
+    std::string path_fd = fuzz::GeneratePathFdText(&rng, params);
+    auto fd = fd::ParseAndCompilePathFd(&alphabet, path_fd);
+    ASSERT_TRUE(fd.ok()) << path_fd << ": " << fd.status().ToString();
+    ExpectMinimalEdges(fd->pattern(), path_fd);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "guard/guard.h"
 #include "update/update_ops.h"
 #include "workload/exam_generator.h"
 #include "workload/exam_schema.h"
@@ -149,7 +150,7 @@ TEST(ViewTest, ProvenIndependenceHoldsOnConcreteUpdates) {
 }
 
 // The view check runs the same pipeline as CheckIndependence, so it
-// honours the budget and the cancel token of its CriterionOptions.
+// honours the budget and the cancel token of the caller's guard.
 TEST(ViewTest, IndependenceObeysStateBudget) {
   Alphabet alphabet;
   schema::Schema schema = workload::BuildExamSchema(&alphabet);
@@ -161,10 +162,10 @@ TEST(ViewTest, IndependenceObeysStateBudget) {
     root { s = session/candidate/level; }
     select s;
   )");
-  independence::CriterionOptions options;
-  options.budget.max_automaton_states = 10;
-  auto result =
-      CheckViewIndependence(ranks, levels, &schema, &alphabet, options);
+  guard::ExecutionBudget budget;
+  budget.max_automaton_states = 10;
+  guard::OptionalGuardScope scope(budget, /*cancel=*/nullptr);
+  auto result = CheckViewIndependence(ranks, levels, &schema, &alphabet);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
       << result.status().ToString();
@@ -183,10 +184,8 @@ TEST(ViewTest, IndependenceObeysCancelToken) {
   )");
   guard::CancelToken cancel;
   cancel.Cancel();
-  independence::CriterionOptions options;
-  options.cancel = &cancel;
-  auto result =
-      CheckViewIndependence(ranks, levels, &schema, &alphabet, options);
+  guard::OptionalGuardScope scope(guard::ExecutionBudget{}, &cancel);
+  auto result = CheckViewIndependence(ranks, levels, &schema, &alphabet);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
       << result.status().ToString();

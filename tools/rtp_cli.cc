@@ -256,12 +256,9 @@ int CmdCheckFd(Alphabet* alphabet, const std::string& fd_path,
   CLI_ASSIGN(fd_text, ReadFile(fd_path));
   CLI_ASSIGN(fd, serve::ParseFd(alphabet, fd_text));
   CLI_ASSIGN(docs, ParseXmlFiles(alphabet, xml_paths));
-  fd::BatchCheckOptions options;
-  options.jobs = jobs;
-  options.check.budget = budget;
-  options.profiles = profiles;
-  std::vector<fd::CheckResult> results =
-      fd::CheckFdBatch(fd, DocPointers(docs), options);
+  std::vector<fd::CheckResult> results = fd::CheckFdBatch(
+      fd, DocPointers(docs),
+      {.jobs = jobs, .budget = budget, .profiles = profiles});
   bool all_satisfied = true;
   bool any_over_budget = false;
   for (size_t d = 0; d < results.size(); ++d) {
@@ -290,14 +287,10 @@ int CmdEval(Alphabet* alphabet, const std::string& pattern_path,
   CLI_ASSIGN(pattern_text, ReadFile(pattern_path));
   CLI_ASSIGN(parsed, pattern::ParsePattern(alphabet, pattern_text));
   CLI_ASSIGN(docs, ParseXmlFiles(alphabet, xml_paths));
-  pattern::EvalBatchOptions options;
-  options.jobs = jobs;
-  options.budget = budget;
-  options.profiles = profiles;
   std::vector<Status> statuses;
-  auto per_doc = pattern::EvaluateSelectedBatch(parsed.pattern,
-                                                DocPointers(docs), options,
-                                                &statuses);
+  auto per_doc = pattern::EvaluateSelectedBatch(
+      parsed.pattern, DocPointers(docs),
+      {.jobs = jobs, .budget = budget, .profiles = profiles}, &statuses);
   bool any_over_budget = false;
   for (size_t d = 0; d < per_doc.size(); ++d) {
     if (xml_paths.size() > 1) std::printf("%s: ", xml_paths[d].c_str());
@@ -362,12 +355,10 @@ int CmdMatrix(Alphabet* alphabet, const std::string& fd_list,
   CLI_ASSIGN(schema_text, ReadOptionalFile(schema_path));
   CLI_ASSIGN(inputs, serve::ParseMatrixInputs(alphabet, fd_texts, class_texts,
                                               schema_text));
-  independence::MatrixOptions options;
-  options.jobs = jobs;
-  options.cache = &exec::AutomatonCache::Global();
-  options.budget = budget;
-  options.profiles = profiles;
-  CLI_ASSIGN(matrix, inputs.Compute(alphabet, options));
+  exec::BatchOptions options{
+      .jobs = jobs, .budget = budget, .profiles = profiles};
+  CLI_ASSIGN(matrix, inputs.Compute(alphabet, options,
+                                    &exec::AutomatonCache::Global()));
   return PrintMatrix(serve::MakeMatrixResult(matrix), fd_list, update_list);
 }
 
@@ -563,8 +554,8 @@ int Dispatch(const std::vector<std::string>& args, int jobs,
                       [&] { return CmdValidate(&alphabet, args[1], args[2]); });
   }
   if (cmd == "checkfd" && argc >= 3) {
-    // Batch commands apply the budget per work item (inside the batch
-    // API), not ambiently: one runaway document degrades alone.
+    // Batch commands apply the budget per work item (exec::RunBatch), not
+    // ambiently: one runaway document degrades alone.
     return CmdCheckFd(&alphabet, args[1],
                       {args.begin() + 2, args.end()}, jobs, budget, profiles);
   }
